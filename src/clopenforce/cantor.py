@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 __all__ = [
@@ -18,7 +19,9 @@ __all__ = [
     "canonicalize",
     "complement",
     "cyl_mask",
+    "cyl_table",
     "cylinder_meet",
+    "dense_mask",
     "density_ok",
     "full_set",
     "level_set",
@@ -28,7 +31,7 @@ __all__ = [
     "node_index",
     "node_bits",
     "parse_clopen",
-    "project_mask",
+    "positions",
 ]
 
 
@@ -59,34 +62,77 @@ def cyl_mask(depth: int, level: int, index: int) -> int:
     return ((1 << width) - 1) << (index * width)
 
 
+def positions(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+@lru_cache(maxsize=None)
+def cyl_table(depth: int, level: int) -> tuple[int, ...]:
+    """Depth-level leaf masks of all cylinders at `level`, by node index."""
+    return tuple(cyl_mask(depth, level, j) for j in range(1 << level))
+
+
+def _projection_table(depth: int, level: int) -> bytes:
+    """levelset_mask(x, depth, level) for every mask x at `depth`, built by
+    the subset recurrence: x's projection is that of x without its lowest
+    node, plus that node's prefix."""
+    shift = depth - level
+    table = bytearray(1 << (1 << depth))
+    for x in range(1, len(table)):
+        rest = x & (x - 1)
+        table[x] = table[rest] | 1 << ((x ^ rest).bit_length() - 1 >> shift)
+    return bytes(table)
+
+
+# at depth <= 3 a mask has at most 8 bits, so every projection is one
+# byte-table read; _PROJECTIONS[depth][level] is that table
+_TABLE_DEPTH = 3
+_PROJECTIONS = tuple(
+    tuple(_projection_table(depth, level) for level in range(depth + 1))
+    for depth in range(_TABLE_DEPTH + 1)
+)
+
+
 def levelset_mask(mask: int, depth: int, level: int) -> int:
     """Project a depth-level mask to the set of its length-`level` prefixes."""
     if not 0 <= level <= depth:
         raise ValueError("level out of range")
+    if depth <= _TABLE_DEPTH:
+        return _PROJECTIONS[depth][level][mask]
+    if level == depth:
+        return mask
     shift = depth - level
+    block = (1 << (1 << shift)) - 1
     out = 0
     m = mask
     while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        out |= 1 << (i >> shift)
+        j = (m & -m).bit_length() - 1 >> shift
+        out |= 1 << j
         # skip the rest of this node's block
-        m &= ~(((1 << (1 << shift)) - 1) << ((i >> shift) << shift))
+        m &= ~(block << (j << shift))
     return out
 
 
-def project_mask(mask: int, level_from: int, level_to: int) -> int:
-    """Prefix-project a level set mask down to a coarser level."""
-    if level_to > level_from:
-        raise ValueError("projection must coarsen")
-    shift = level_from - level_to
-    out = 0
-    m = mask
-    while m:
-        low = m & -m
-        out |= 1 << ((low.bit_length() - 1) >> shift)
-        m ^= low
-    return out
+def dense_mask(mask: int, depth: int, level: int) -> bool:
+    """Every level-`level` node of mask keeps at least half its cylinder,
+    i.e. measure at least 2^-(level+1).  True from level = depth on."""
+    if level >= depth:
+        return True
+    lv = levelset_mask(mask, depth, level)
+    need = 1 << (depth - level - 1)
+    cyls = cyl_table(depth, level)
+    while lv:
+        low = lv & -lv
+        if (mask & cyls[low.bit_length() - 1]).bit_count() < need:
+            return False
+        lv ^= low
+    return True
 
 
 def lift_mask(mask: int, level_from: int, level_to: int) -> int:
@@ -236,18 +282,7 @@ def density_ok(B: ClopenSet, n: int) -> bool:
     """Every level-n node of B carries measure at least 2^-(n+1) inside B."""
     if n > B.depth:
         raise ValueError(f"resolution insufficient: level {n} > depth {B.depth}")
-    need = 1 << (B.depth - n - 1) if n < B.depth else 0
-    if need == 0:
-        # at full resolution each node carries 2^-depth >= 2^-(depth+1)
-        return True
-    lv = levelset_mask(B.mask, B.depth, n)
-    while lv:
-        low = lv & -lv
-        j = low.bit_length() - 1
-        if (B.mask & cyl_mask(B.depth, n, j)).bit_count() < need:
-            return False
-        lv ^= low
-    return True
+    return dense_mask(B.mask, B.depth, n)
 
 
 def parse_clopen(text: str) -> ClopenSet:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .cantor import LevelSet
+from .cantor import LevelSet, positions
 from .errors import InsufficientK, LemmaViolated
 from .numerics import epsilon, min_k_for
 
@@ -26,15 +26,6 @@ __all__ = [
     "shrink",
     "split_goodness",
 ]
-
-
-def _positions(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _gosper(width: int, size: int):
@@ -100,7 +91,7 @@ def halve_once(W: WeightFamily, k_prime: int) -> LevelSet:
         raise ValueError("need 1 <= k' <= k")
     total = W.total()
     target = (1 - epsilon(W.k, k_prime)) * total
-    pos = _positions(W.Z.mask)
+    pos = positions(W.Z.mask)
     for size in range(len(pos) // 2 + 1):
         for packed in _gosper(len(pos), size):
             zp = 0
@@ -160,7 +151,10 @@ def schedule(eps_budget: Fraction, m: int) -> list[int]:
     product = Fraction(1)
     for i in range(m):
         product *= 1 - epsilon(ks[i + 1], ks[i])
-    assert product >= 1 - eps_budget, "per-round budgets cannot miss the product bound"
+    if product < 1 - eps_budget:
+        raise LemmaViolated(
+            f"survival product {product} below 1 - eps = {1 - eps_budget}"
+        )
     return ks
 
 

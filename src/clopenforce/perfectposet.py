@@ -11,16 +11,17 @@ forms are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .cantor import (
     ClopenSet,
-    cyl_mask,
+    cyl_table,
+    dense_mask,
     density_ok,
     full_set,
     levelset_mask,
     parse_clopen,
+    positions,
     clopen_from_json,
     clopen_to_json,
 )
@@ -80,20 +81,6 @@ def _same_depth(c1: PCondition, c2: PCondition) -> int:
     return c1.depth
 
 
-@lru_cache(maxsize=None)
-def _cyls(depth: int, level: int) -> tuple[int, ...]:
-    return tuple(cyl_mask(depth, level, j) for j in range(1 << level))
-
-
-def _positions(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _leq_masks(am: int, an: int, bm: int, bn: int, depth: int) -> bool:
     return (
         an >= bn
@@ -117,7 +104,7 @@ def _compat_masks(am: int, an: int, bm: int, bn: int, depth: int) -> bool:
     if levelset_mask(am, depth, bn) != levelset_mask(bm, depth, bn):
         return False
     inter = am & bm
-    cyls = _cyls(depth, an)
+    cyls = cyl_table(depth, an)
     lv = levelset_mask(am, depth, an)
     while lv:
         low = lv & -lv
@@ -170,7 +157,7 @@ def prune_to_dense(B: ClopenSet, n: int) -> PCondition:
     mask = B.mask
     depth = B.depth
     need = 1 << (depth - n - 1) if n < depth else 1
-    cyls = _cyls(depth, n)
+    cyls = cyl_table(depth, n)
     while True:
         thin = 0
         lv = levelset_mask(mask, depth, n)
@@ -188,52 +175,42 @@ def prune_to_dense(B: ClopenSet, n: int) -> PCondition:
     return PCondition(ClopenSet(depth, mask), n)
 
 
-def _dense_mask(mask: int, depth: int, level: int) -> bool:
-    if level >= depth:
-        return True
-    need = 1 << (depth - level - 1)
-    cyls = _cyls(depth, level)
-    lv = levelset_mask(mask, depth, level)
-    while lv:
-        low = lv & -lv
-        if (mask & cyls[low.bit_length() - 1]).bit_count() < need:
-            return False
-        lv ^= low
-    return True
+def _subset_dp(mask: int, depth: int, level: int, proj_shifts: list[int]):
+    """Tables over all subsets x of the level-`level` nodes of mask.
 
-
-def _subset_dp(universe: int, pieces: list[int], level: int, proj_shifts: list[int]):
-    """Tables over all subsets of the nodes in `universe` (a level set).
-
-    Returns (pos, T, U, projs) where for subset x: T[x] is the chosen node
-    mask, U[x] the union of the matching pieces, and projs[i][x] the node
-    mask projected proj_shifts[i] levels up.
+    Returns (T, U, projs): T[x] is the chosen node set, U[x] the part of
+    mask below it, and projs[i][x] the node set projected proj_shifts[i]
+    levels up.
     """
-    pos = _positions(universe)
+    cyls = cyl_table(depth, level)
+    pos = positions(levelset_mask(mask, depth, level))
     size = 1 << len(pos)
     T = [0] * size
     U = [0] * size
     projs = [[0] * size for _ in proj_shifts]
     for x in range(1, size):
         low = x & -x
-        j = low.bit_length() - 1
+        j = pos[low.bit_length() - 1]
         y = x ^ low
-        T[x] = T[y] | (1 << pos[j])
-        U[x] = U[y] | pieces[j]
+        T[x] = T[y] | (1 << j)
+        U[x] = U[y] | (mask & cyls[j])
         for pi, shift in enumerate(proj_shifts):
-            projs[pi][x] = projs[pi][y] | (1 << (pos[j] >> shift))
-    return pos, T, U, projs
+            projs[pi][x] = projs[pi][y] | (1 << (j >> shift))
+    return T, U, projs
 
 
 def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
     """The finite family below c that fences off everything incompatible
     with b up to height k.
 
-    Per height ell the candidates are cylinder surgeries on c: either the
-    level-ell trace already disagrees with b's, or the trace agrees and the
-    mass below one committed node of b is cut away.  Candidates outside the
-    dense part are dropped; a dropped candidate can dominate no dense
-    condition either, so nothing dense is lost.
+    Per height ell, with s = min(ell, n) and fine = max(ell, n), the
+    candidates are cylinder surgeries on c that keep c's trace at m:
+    either the trace at s already disagrees with b's (family A, subsets of
+    c's level-ell nodes), or it agrees and one committed node of the finer
+    side is missed or has b's mass cut away below it (family B, subsets of
+    c's level-fine nodes).  Candidates outside the dense part at ell are
+    dropped; a dropped candidate can dominate no dense condition either,
+    so nothing dense is lost.
     """
     depth = _same_depth(b, c)
     if not in_pprime(b) or not in_pprime(c):
@@ -247,74 +224,34 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
     found: set[tuple[int, int]] = set()
 
     for ell in range(m, k + 1):
-        need = 1 << (depth - ell - 1) if ell < depth else 1
-        if ell < n:
-            # trace-mismatch family at level ell
-            cyls = _cyls(depth, ell)
-            pos, T, U, (pm,) = _subset_dp(
-                lv_c[ell],
-                [cmask & cyls[j] for j in _positions(lv_c[ell])],
-                ell,
-                [ell - m],
-            )
-            dense = [
-                (cmask & cyls[j]).bit_count() >= need for j in _positions(lv_c[ell])
-            ]
-            bad = [0] * len(T)
-            for x in range(1, len(T)):
-                low = x & -x
-                bad[x] = bad[x ^ low] + (0 if dense[low.bit_length() - 1] else 1)
-            for x in range(1, len(T)):
-                if pm[x] == lv_c[m] and T[x] != lv_b[ell] and bad[x] == 0:
-                    found.add((U[x], ell))
-            # families over level-n traces: agree with b at ell, then either
-            # miss one of b's nodes outright or cut its mass away
-            cyls_n = _cyls(depth, n)
-            pos_n = _positions(lv_c[n])
-            pieces_n = [cmask & cyls_n[j] for j in pos_n]
-            _, Tn, Un, (pm_n, pl_n) = _subset_dp(
-                lv_c[n], pieces_n, n, [n - m, n - ell]
-            )
-            for x in range(1, len(Tn)):
-                if pm_n[x] != lv_c[m] or pl_n[x] != lv_b[ell]:
-                    continue
-                if Tn[x] & lv_b[n] != lv_b[n]:
-                    if _dense_mask(Un[x], depth, ell):
-                        found.add((Un[x], ell))
-                else:
-                    for t in _positions(lv_b[n]):
-                        special = cmask & cyls_n[t] & ~bmask
-                        if special == 0:
-                            continue
-                        cand = (Un[x] & ~cyls_n[t]) | special
-                        if _dense_mask(cand, depth, ell):
-                            found.add((cand, ell))
+        s, fine = min(ell, n), max(ell, n)
+        dp_fine = _subset_dp(cmask, depth, fine, [fine - m, fine - s])
+        if fine == ell:
+            dp_ell = dp_fine
         else:
-            cyls = _cyls(depth, ell)
-            pos = _positions(lv_c[ell])
-            pieces = [cmask & cyls[j] for j in pos]
-            _, T, U, (pm, pn) = _subset_dp(lv_c[ell], pieces, ell, [ell - m, ell - n])
-            dense = [piece.bit_count() >= need for piece in pieces]
-            bad = [0] * len(T)
-            for x in range(1, len(T)):
-                low = x & -x
-                bad[x] = bad[x ^ low] + (0 if dense[low.bit_length() - 1] else 1)
-            for x in range(1, len(T)):
-                if pm[x] != lv_c[m]:
-                    continue
-                if pn[x] != lv_b[n]:
-                    if bad[x] == 0:
-                        found.add((U[x], ell))
-                else:
-                    for bit_j, t in enumerate(pos):
-                        if not T[x] >> t & 1:
-                            continue
-                        special = pieces[bit_j] & ~bmask
-                        if special == 0 or special.bit_count() < need:
-                            continue
-                        if bad[x] - (0 if dense[bit_j] else 1) != 0:
-                            continue
-                        found.add(((U[x] & ~cyls[t]) | special, ell))
+            dp_ell = _subset_dp(cmask, depth, ell, [ell - m, ell - s])
+        # family A: the trace at s disagrees with b's
+        _, U, (pm, ps) = dp_ell
+        for x in range(1, len(U)):
+            if pm[x] == lv_c[m] and ps[x] != lv_b[s] and dense_mask(U[x], depth, ell):
+                found.add((U[x], ell))
+        # family B: the trace at s agrees; miss a committed node or cut it
+        T, U, (pm, ps) = dp_fine
+        cyls = cyl_table(depth, fine)
+        for x in range(1, len(U)):
+            if pm[x] != lv_c[m] or ps[x] != lv_b[s]:
+                continue
+            committed = lv_b[n] if ell < n else T[x]
+            if T[x] & committed != committed:
+                if dense_mask(U[x], depth, ell):
+                    found.add((U[x], ell))
+                continue
+            for t in positions(committed):
+                special = cmask & cyls[t] & ~bmask
+                if special:
+                    cand = (U[x] & ~cyls[t]) | special
+                    if dense_mask(cand, depth, ell):
+                        found.add((cand, ell))
     return [
         PCondition(ClopenSet(depth, mask), ell)
         for ell, mask in sorted((ell, mask) for mask, ell in found)
@@ -383,7 +320,7 @@ def cover_oracle(
         if e and levelset_mask(e, depth, m) == lv_c_m:
             lv_e = [levelset_mask(e, depth, lv) for lv in range(depth + 1)]
             for ell in range(m, kk + 1):
-                if not _dense_mask(e, depth, ell):
+                if not dense_mask(e, depth, ell):
                     continue
                 if _compat_masks(e, ell, bmask, n, depth):
                     continue
@@ -407,7 +344,7 @@ def enumerate_pprime(depth: int, max_n: int | None = None) -> tuple[PCondition, 
     out = []
     for n in range(max_n + 1):
         for mask in range(1, 1 << (1 << depth)):
-            if _dense_mask(mask, depth, n):
+            if dense_mask(mask, depth, n):
                 out.append(PCondition(ClopenSet(depth, mask), n))
     return tuple(out)
 
@@ -426,33 +363,13 @@ class DeskPoset:
         self.top = top_condition(depth)
         if self.top not in self.index:
             raise ValueError("desk poset must contain the top condition")
-        self._lv = {
-            e: tuple(levelset_mask(e.B.mask, depth, lv) for lv in range(depth + 1))
-            for e in self.elements
-        }
         self._rows: list[int] | None = None
 
     def leq(self, a: PCondition, b: PCondition) -> bool:
-        return (
-            a.n >= b.n
-            and a.B.mask & ~b.B.mask == 0
-            and self._lv[a][b.n] == self._lv[b][b.n]
-        )
+        return _leq_masks(a.B.mask, a.n, b.B.mask, b.n, self.depth)
 
     def compatible(self, a: PCondition, b: PCondition) -> bool:
-        if a.n < b.n:
-            a, b = b, a
-        if self._lv[a][b.n] != self._lv[b][b.n]:
-            return False
-        inter = a.B.mask & b.B.mask
-        cyls = _cyls(self.depth, a.n)
-        lv = self._lv[a][a.n]
-        while lv:
-            low = lv & -lv
-            if inter & cyls[low.bit_length() - 1] == 0:
-                return False
-            lv ^= low
-        return True
+        return _compat_masks(a.B.mask, a.n, b.B.mask, b.n, self.depth)
 
     def heights(self) -> dict[PCondition, int]:
         return {e: e.n for e in self.elements}

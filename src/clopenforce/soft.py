@@ -305,7 +305,7 @@ def product_cover(
 
 
 def random_height(B: ClopenSet) -> int:
-    """Least n >= 1 whose reciprocal is below the measure of B."""
+    """Least n >= 1 with 1/n at most the measure of B."""
     mu = measure(B)
     if mu <= 0:
         raise ValueError("random_height needs positive measure")

@@ -11,13 +11,99 @@ from clopenforce.cantor import (
     clopen_from_json,
     clopen_to_json,
     complement,
+    cyl_table,
     cylinder_meet,
+    dense_mask,
     density_ok,
     full_set,
     level_set,
+    levelset_mask,
     measure,
     parse_clopen,
+    positions,
 )
+
+
+# Restatements of the bit kernel from node bit strings, sharing no code with
+# it: a mask's nodes are the strings of its set bits, a projection is the
+# set of their prefixes, a node's mass is how many leaves carry its prefix.
+
+
+def _bits(i, width):
+    return format(i, "b").zfill(width) if width else ""
+
+
+def _leaves(mask, depth):
+    return [_bits(i, depth) for i in range(1 << depth) if mask >> i & 1]
+
+
+def _prefix_projection(mask, depth, level):
+    out = 0
+    for leaf in _leaves(mask, depth):
+        out |= 1 << int(leaf[:level] or "0", 2)
+    return out
+
+
+def _dense_by_counts(mask, depth, level):
+    counts = {}
+    for leaf in _leaves(mask, depth):
+        counts[leaf[:level]] = counts.get(leaf[:level], 0) + 1
+    return all(2 * count >= 1 << (depth - level) for count in counts.values())
+
+
+def _kernel_cases():
+    """Every (mask, depth) at depth <= 3, then a seeded sample at 4 and 5."""
+    for depth in range(4):
+        for mask in range(1 << (1 << depth)):
+            yield mask, depth
+    rng = random.Random(2024)
+    for depth in (4, 5):
+        for _ in range(300):
+            yield rng.getrandbits(1 << depth), depth
+        yield (1 << (1 << depth)) - 1, depth
+        yield 0, depth
+
+
+def test_levelset_mask_matches_prefix_restatement():
+    for mask, depth in _kernel_cases():
+        for level in range(depth + 1):
+            assert levelset_mask(mask, depth, level) == _prefix_projection(
+                mask, depth, level
+            ), (mask, depth, level)
+
+
+def test_levelset_mask_level_out_of_range_raises():
+    for depth in (0, 2, 3, 4, 5):  # table path through depth 3, loop beyond
+        for level in (-1, depth + 1):
+            with pytest.raises(ValueError):
+                levelset_mask(1, depth, level)
+
+
+def test_density_predicate_matches_node_counts():
+    for mask, depth in _kernel_cases():
+        for level in range(depth + 1):
+            want = _dense_by_counts(mask, depth, level)
+            assert dense_mask(mask, depth, level) == want, (mask, depth, level)
+            assert density_ok(ClopenSet(depth, mask), level) == want
+
+
+def test_positions_matches_bin():
+    rng = random.Random(5)
+    for mask in [0, 1, 2, 0b1011] + [rng.getrandbits(70) for _ in range(200)]:
+        want = [i for i, ch in enumerate(reversed(bin(mask)[2:])) if ch == "1"]
+        assert positions(mask) == want
+
+
+def test_cyl_table_blocks():
+    for depth in range(5):
+        for level in range(depth + 1):
+            for j, cyl in enumerate(cyl_table(depth, level)):
+                node = _bits(j, level)
+                assert cyl == sum(
+                    1 << i
+                    for i in range(1 << depth)
+                    if _bits(i, depth).startswith(node)
+                )
 
 
 def test_canonicalize_examples():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from clopenforce.cli import VERB_TABLE, dispatch
 
@@ -11,6 +15,19 @@ def run(capsys, *argv):
 def test_eps_example(capsys):
     code, out = run(capsys, "eps", "--k", "3", "--kprime", "1")
     assert code == 0 and out == "1/4\n"
+
+
+def test_python_dash_m_matches_dispatch(capsys):
+    argv = ["eps", "--k", "3", "--kprime", "1"]
+    code, out = run(capsys, *argv)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clopenforce", *argv], capture_output=True, env=env
+    )
+    assert (proc.returncode, proc.stdout) == (code, out.encode())
 
 
 def test_eps_min_k_and_binom(capsys):

@@ -7,6 +7,8 @@ import pytest
 from support import random_shrink_family, random_weight_family
 
 from clopenforce.cantor import LevelSet
+from clopenforce import coverlemmas
+from clopenforce.cli import dispatch
 from clopenforce.coverlemmas import (
     WeightFamily,
     halve_once,
@@ -15,7 +17,7 @@ from clopenforce.coverlemmas import (
     shrink,
     split_goodness,
 )
-from clopenforce.errors import InsufficientK
+from clopenforce.errors import InsufficientK, LemmaViolated
 from clopenforce.numerics import epsilon
 
 
@@ -120,6 +122,16 @@ def test_schedule_examples():
             assert ks[i + 1] > ks[i]
             product *= 1 - epsilon(ks[i + 1], ks[i])
         assert product >= 1 - eps
+
+
+def test_schedule_product_check_survives_optimisation(monkeypatch, capsys):
+    # a lossy epsilon breaks the product bound; the check must raise, not
+    # assert, so that `python -O` keeps it
+    monkeypatch.setattr(coverlemmas, "epsilon", lambda k, k_prime: Fraction(1, 2))
+    with pytest.raises(LemmaViolated):
+        schedule(Fraction(1, 2), 2)
+    assert dispatch(["cover", "schedule", "--eps", "1/2", "--m", "2"]) == 1
+    assert capsys.readouterr().out.startswith("lemma-violated:")
 
 
 def test_shrink_zero_rounds():

@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from support import random_pprime_condition
+from support import PairOrbits, random_pprime_condition
 
 from clopenforce.cantor import ClopenSet, canonicalize, full_set
 from clopenforce.errors import DepthExhausted, PruneFailed
@@ -129,6 +130,32 @@ def test_main_cover_passes_oracle_random_depth3():
         k = rng.randint(0, 3)
         report = cover_oracle(b, c, k, main_cover(b, c, k))
         assert report.ok
+
+
+# sha256 of main_cover's output over every depth-3 pair orbit of dense
+# conditions (all commitment levels) and every height k in c.n..3, frozen
+# before its two height branches were folded into one pass, so the fold is
+# held to byte identity and not only to oracle validity
+MAIN_COVER_D3_DIGEST = (
+    "154b08398d599a1e34b4b0299b854134028d8b12cf2dc999174e8b5d28c92395"
+)
+
+
+def test_main_cover_output_pinned_over_depth3_orbits():
+    conds = enumerate_pprime(3)
+    orbits = PairOrbits(3)
+    reps = {}
+    for b in conds:
+        for c in conds:
+            key = (b.n, c.n, *orbits.canon_pair(b.B.mask, c.B.mask))
+            reps.setdefault(key, (b, c))
+    digest = hashlib.sha256()
+    for key in sorted(reps):
+        b, c = reps[key]
+        for k in range(c.n, 4):
+            cover = [(q.n, q.B.mask) for q in main_cover(b, c, k)]
+            digest.update(repr(cover).encode())
+    assert digest.hexdigest() == MAIN_COVER_D3_DIGEST
 
 
 def test_iterate_cover_examples():
