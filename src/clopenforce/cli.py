@@ -2,8 +2,9 @@
 
 Exit status: 0 on success, 1 when a checked property fails (cover oracle
 violation, failed validation, oversize cover, avoidance counterexample),
-2 on usage errors.  Identical invocations produce byte-identical output:
-JSON is emitted with sorted keys and all randomness is seeded.
+2 on usage errors, malformed payloads included.  Identical invocations
+produce byte-identical output: JSON is emitted with sorted keys and all
+randomness is seeded.
 """
 
 from __future__ import annotations
@@ -529,7 +530,8 @@ def dispatch(argv: list[str] | None = None) -> int:
     except ConstructionError as exc:
         print(f"{exc.kind}: {exc}")
         return 1
-    except ValueError as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
+        # malformed payloads: a missing JSON key, a wrong JSON type, no such file
         print(f"usage-error: {exc}")
         return 2
 

@@ -364,6 +364,7 @@ class DeskPoset:
         if self.top not in self.index:
             raise ValueError("desk poset must contain the top condition")
         self._rows: list[int] | None = None
+        self._down: list[int | None] = [None] * len(self.elements)
 
     def leq(self, a: PCondition, b: PCondition) -> bool:
         return _leq_masks(a.B.mask, a.n, b.B.mask, b.n, self.depth)
@@ -387,6 +388,19 @@ class DeskPoset:
                         rows[j] |= 1 << i
             self._rows = rows
         return self._rows
+
+    def down_row(self, i: int) -> int:
+        """Bitmask of the elements below element i.  Built per row on first
+        use: all rows at once would cost every desk a fifth of a second."""
+        row = self._down[i]
+        if row is None:
+            b = self.elements[i]
+            row = 0
+            for j, a in enumerate(self.elements):
+                if _leq_masks(a.B.mask, a.n, b.B.mask, b.n, self.depth):
+                    row |= 1 << j
+            self._down[i] = row
+        return row
 
 
 def pcondition_to_json(c: PCondition) -> dict:

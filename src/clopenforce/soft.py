@@ -2,9 +2,12 @@
 escape function, over explicit finite posets.
 
 Compatibility of two elements means existence of a common lower bound among
-the listed elements, which makes every clause decidable by enumeration.  A
-poset here is anything with `.elements`, `.top`, `.leq(a, b)` and
-`.compatible(a, b)`; `FinitePoset` is the explicit implementation.
+the listed elements.  A poset here is anything with `.elements`, `.index`
+(element -> position), `.top`, `.leq(a, b)`, `.compatible(a, b)`,
+`.compat_rows()` (row i: bitmask of the positions compatible with element
+i) and `.down_row(i)` (bitmask of the positions <= element i), as
+`FinitePoset` and `perfectposet.DeskPoset` have.  The checks turn elements
+into positions once, on entry, and then only OR and AND those rows.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from functools import reduce
+from operator import or_
+from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
 from .cantor import ClopenSet, measure
 from .errors import NoCoverError
@@ -63,6 +68,7 @@ class FinitePoset:
         self._down = [0] * len(self.elements)
         for a, b in rel:
             self._down[self.index[b]] |= 1 << self.index[a]
+        self._rows: list[int] | None = None
 
     @classmethod
     def from_leq(cls, elements, leq, top) -> "FinitePoset":
@@ -76,24 +82,52 @@ class FinitePoset:
     def compatible(self, a: Element, b: Element) -> bool:
         return self._down[self.index[a]] & self._down[self.index[b]] != 0
 
+    def compat_rows(self) -> list[int]:
+        """Row i is the bitmask of elements compatible with element i,
+        derived from the down-sets on first use."""
+        if self._rows is None:
+            down = self._down
+            self._rows = [
+                sum(1 << j for j, dj in enumerate(down) if di & dj) for di in down
+            ]
+        return self._rows
 
-def _check_total(P, h: HeightFn) -> None:
-    missing = [e for e in P.elements if e not in h]
-    if missing:
+    def down_row(self, i: int) -> int:
+        """Bitmask of the elements <= element i."""
+        return self._down[i]
+
+
+def _heights(P, h: HeightFn) -> list[int]:
+    """h as a list over element positions, defined and nonnegative."""
+    hs = [h.get(e) for e in P.elements]
+    if None in hs:
+        missing = [e for e, v in zip(P.elements, hs) if v is None]
         raise ValueError(f"height function undefined on {missing[:3]!r}...")
-    if any(h[e] < 0 for e in P.elements):
+    if any(v < 0 for v in hs):
         raise ValueError("heights must be nonnegative")
+    return hs
+
+
+def _at_most(hs: list[int], m: int) -> int:
+    """Bitmask of the positions of height <= m."""
+    return sum(1 << i for i, v in enumerate(hs) if v <= m)
+
+
+def _indices(P, items: Iterable[Element]) -> list[int]:
+    try:
+        return [P.index[e] for e in items]
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]!r} is not an element") from None
 
 
 def check_height(P, h: HeightFn) -> bool:
     """True iff h is order-reversing: a <= b forces h(a) >= h(b)."""
-    _check_total(P, h)
-    return all(
-        h[a] >= h[b] for a in P.elements for b in P.elements if P.leq(a, b)
-    )
+    hs = _heights(P, h)
+    lower = {v: _at_most(hs, v - 1) for v in set(hs)}
+    return all(P.down_row(b) & lower[v] == 0 for b, v in enumerate(hs))
 
 
-def _sorted_ids(pool: Iterable[Element]) -> list[Element]:
+def _sorted_ids(pool: Collection[Element]) -> list[Element]:
     try:
         return sorted(pool)  # type: ignore[type-var]
     except TypeError:
@@ -114,22 +148,14 @@ def verify_cover(
     (ii) every element incompatible with all of ps, of height <= m (or
     unconditionally when strong), lies below some member of qs.
     """
-    _check_total(P, h)
-    for e in itertools.chain(ps, qs):
-        if e not in P.index:
-            raise ValueError(f"{e!r} is not an element")
-    for q in qs:
-        for p in ps:
-            if P.compatible(q, p):
-                return False
-    for x in P.elements:
-        if not strong and h[x] > m:
-            continue
-        if any(P.compatible(x, p) for p in ps):
-            continue
-        if not any(P.leq(x, q) for q in qs):
-            return False
-    return True
+    hs = _heights(P, h)
+    pi, qi = _indices(P, ps), _indices(P, qs)
+    rows = P.compat_rows()
+    reach = reduce(or_, (rows[p] for p in pi), 0)
+    if any(reach >> q & 1 for q in qi):
+        return False
+    targets = ((1 << len(hs)) - 1 if strong else _at_most(hs, m)) & ~reach
+    return targets & ~reduce(or_, map(P.down_row, qi), 0) == 0
 
 
 def find_cover(P, h: HeightFn, ps: Sequence[Element], m: int) -> list[Element]:
@@ -137,37 +163,49 @@ def find_cover(P, h: HeightFn, ps: Sequence[Element], m: int) -> list[Element]:
 
     Candidates must themselves be incompatible with every member of ps
     (clause (i)); subsets are tried by size, then by id order, and the
-    first one dominating every height-<= m target wins.
+    first one dominating every height-<= m target wins.  A candidate
+    dominating no target is skipped: it is in no smallest cover.
     """
-    _check_total(P, h)
-    pool = _sorted_ids(
-        e for e in P.elements if all(not P.compatible(e, p) for p in ps)
-    )
-    targets = [e for e in pool if h[e] <= m]
-    for size in range(len(pool) + 1):
-        for qs in itertools.combinations(pool, size):
-            if all(any(P.leq(x, q) for q in qs) for x in targets):
-                return list(qs)
+    hs = _heights(P, h)
+    rows = P.compat_rows()
+    reach = reduce(or_, (rows[p] for p in _indices(P, ps)), 0)
+    targets = _at_most(hs, m) & ~reach
+    pool = _sorted_ids([e for i, e in enumerate(P.elements) if not reach >> i & 1])
+    downs = [(e, d) for e in pool if (d := P.down_row(P.index[e]) & targets)]
+    for size in range(len(downs) + 1):
+        for qs in itertools.combinations(downs, size):
+            if targets & ~reduce(or_, (down for _, down in qs), 0) == 0:
+                return [e for e, _ in qs]
     raise NoCoverError(f"no weak finite cover for {list(ps)!r} at m={m}")
+
+
+def _prefix_cut(P, rows: list[int], chain: list[int], need: int) -> int:
+    """Least n such that the first n members of the maximal antichain
+    `chain` are together compatible with every element in `need`."""
+    earlier = reach = 0
+    for x in chain:
+        if rows[x] & earlier:  # name the first compatible pair in chain order
+            for a, b in itertools.combinations(chain, 2):
+                if rows[a] >> b & 1:
+                    a, b = P.elements[a], P.elements[b]
+                    raise ValueError(f"not an antichain: {a!r} and {b!r} are compatible")
+        earlier |= 1 << x
+        reach |= rows[x]
+    x = (~reach & (reach + 1)).bit_length() - 1  # lowest position outside reach
+    if x < len(rows):
+        raise ValueError(f"antichain not maximal: {P.elements[x]!r} avoids every member")
+    n = 0
+    while need:
+        need &= ~rows[chain[n]]
+        n += 1
+    return n
 
 
 def star_witness(P, h: HeightFn, antichain: Sequence[Element], m: int) -> int:
     """Minimal prefix length n of a maximal antichain such that anything
     incompatible with the whole prefix has height > m."""
-    _check_total(P, h)
-    chain = list(antichain)
-    for a, b in itertools.combinations(chain, 2):
-        if P.compatible(a, b):
-            raise ValueError(f"not an antichain: {a!r} and {b!r} are compatible")
-    pos = {e: i for i, e in enumerate(chain)}
-    witness = 0
-    for x in P.elements:
-        first = next((i for i, a in enumerate(chain) if P.compatible(x, a)), None)
-        if first is None:
-            raise ValueError(f"antichain not maximal: {x!r} avoids every member")
-        if h[x] <= m:
-            witness = max(witness, first + 1)
-    return witness
+    need = _at_most(_heights(P, h), m)
+    return _prefix_cut(P, P.compat_rows(), _indices(P, antichain), need)
 
 
 @dataclass(frozen=True)
@@ -210,26 +248,24 @@ class EscapeReport:
 def escape_function(P, h: HeightFn, table: NameTable) -> EscapeReport:
     """The escape value per coordinate, plus the finite no-domination check.
 
-    For coordinate m the prefix cut n_m comes from `star_witness`; f(m) is
+    For coordinate m the prefix cut n_m is `star_witness`'s; f(m) is
     the largest value decided on that prefix (0 for an empty prefix).  The
     punchline re-verifies that every element of height <= m is compatible
     with a prefix member deciding a value <= f(m), so nothing of height <= m
     can push the decided value above f(m).
     """
+    hs = _heights(P, h)
+    rows = P.compat_rows()
     out = []
     for m, (antichain, values) in enumerate(table.coords):
-        n_m = star_witness(P, h, antichain, m)
+        chain = _indices(P, antichain)
+        need = _at_most(hs, m)
+        n_m = _prefix_cut(P, rows, chain, need)
         f_m = max(values[:n_m], default=0)
-        ok = True
-        for x in P.elements:
-            if h[x] > m:
-                continue
-            if not any(
-                P.compatible(x, antichain[j]) and values[j] <= f_m
-                for j in range(n_m)
-            ):
-                ok = False
-        out.append(EscapeCoordinate(m, n_m, f_m, ok))
+        fenced = reduce(
+            or_, (rows[a] for a, v in zip(chain[:n_m], values) if v <= f_m), 0
+        )
+        out.append(EscapeCoordinate(m, n_m, f_m, need & ~fenced == 0))
     return EscapeReport(tuple(out))
 
 
@@ -256,21 +292,19 @@ def product_poset(
     hp: HeightFn,
 ) -> tuple[FinitePoset, dict[tuple[Element, Element], int]]:
     """Coordinatewise-ordered product with the stepped height attached."""
-    _check_total(Pq, gq)
-    _check_total(Pq, supp_q)
-    _check_total(Pp, hp)
+    _heights(Pq, gq)
+    _heights(Pq, supp_q)
+    _heights(Pp, hp)
     if supp_q[Pq.top] != 0:
         raise ValueError("support of the top element must be 0")
     if not check_height(Pq, supp_q):
         raise ValueError("support size must be order-reversing")
     elements = [(q, p) for q in Pq.elements for p in Pp.elements]
-    pairs = [
-        (a, b)
-        for a in elements
-        for b in elements
-        if Pq.leq(a[0], b[0]) and Pp.leq(a[1], b[1])
-    ]
-    poset = FinitePoset(elements, pairs, (Pq.top, Pp.top))
+    poset = FinitePoset.from_leq(
+        elements,
+        lambda a, b: Pq.leq(a[0], b[0]) and Pp.leq(a[1], b[1]),
+        (Pq.top, Pp.top),
+    )
     heights = {
         (q, p): product_height_step(gq[q], supp_q[q], hp[p], p == Pp.top)
         for q, p in elements

@@ -124,12 +124,16 @@ def chain_heights(poset: FinitePoset, rng: random.Random | None = None) -> dict:
 
 
 def greedy_max_antichain(poset, rng: random.Random) -> list:
-    order = list(poset.elements)
+    """Elements in a seeded random order, each kept when it is incompatible
+    with all kept so far (read off the poset's compatibility rows)."""
+    order = list(range(len(poset.elements)))
     rng.shuffle(order)
-    chosen = []
-    for e in order:
-        if all(not poset.compatible(e, a) for a in chosen):
-            chosen.append(e)
+    rows = poset.compat_rows()
+    chosen, reach = [], 0
+    for i in order:
+        if not reach >> i & 1:
+            chosen.append(poset.elements[i])
+            reach |= rows[i]
     return chosen
 
 

@@ -43,6 +43,19 @@ def test_usage_errors(capsys):
     assert dispatch(["nonsense"]) == 2
     code, out = run(capsys, "eps", "--k", "3", "--kprime", "9")
     assert code == 2 and out.startswith("usage-error")
+    # malformed payloads: missing keys, a missing file, a non-element
+    poset = {"elements": ["a", "top"], "leq": [], "top": "top",
+             "height": {"a": 0, "top": 0}}
+    for argv in (
+        ("soft", "star", "--json", "{}"),
+        ("soft", "escape", "--json", json.dumps(poset)),
+        ("soft", "cover", "--file", "/nonexistent/poset.json"),
+        ("cover", "halve", "--json", "{}"),
+        ("soft", "star", "--json", json.dumps(poset), "--antichain", "zz"),
+        ("soft", "cover", "--json", json.dumps(poset), "--ps", "zz"),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 2 and out.startswith("usage-error:"), argv
 
 
 def test_diag_validate_failing_schedule(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from support import chain_heights, greedy_max_antichain, random_poset
 
 from clopenforce.cantor import ClopenSet, canonicalize, full_set
+from clopenforce.perfectposet import DeskPoset
 from clopenforce.soft import (
     FinitePoset,
     NameTable,
@@ -91,6 +92,58 @@ def test_star_witness_rejects_non_maximal():
     P = FinitePoset(["a", "b", "top"], [("a", "b")], "top")
     with pytest.raises(ValueError):
         star_witness(P, {"a": 0, "b": 0, "top": 0}, ["a", "b"], 0)
+
+
+def test_error_messages():
+    Q = antichain_poset("abc")
+    h0 = {e: 0 for e in Q.elements}
+    with pytest.raises(ValueError, match=r"^height function undefined on \['b'\]\.\.\.$"):
+        verify_cover(Q, {"a": 0, "c": 0, "top": 0}, [], 0, [])
+    with pytest.raises(ValueError, match="^heights must be nonnegative$"):
+        find_cover(Q, dict(h0, c=-1), ["a"], 0)
+    with pytest.raises(ValueError, match="^'zz' is not an element$"):
+        verify_cover(Q, h0, ["a"], 0, ["b", "zz"])
+    # the lowest-index element avoiding every member is named
+    with pytest.raises(ValueError, match="^antichain not maximal: 'a' avoids every member$"):
+        star_witness(Q, h0, ["b"], 0)
+    last = FinitePoset(["top", "a", "b"], [], "top")
+    with pytest.raises(ValueError, match="^antichain not maximal: 'b' avoids every member$"):
+        star_witness(last, {e: 0 for e in last.elements}, ["a"], 0)
+    # the first compatible pair in chain order is named: (x, w) comes
+    # before (y, z) although z is reached before w
+    P = FinitePoset(
+        ["x", "y", "z", "w", "l1", "l2", "top"],
+        [("l1", "y"), ("l1", "z"), ("l2", "x"), ("l2", "w")],
+        "top",
+    )
+    hp = {e: 0 for e in P.elements}
+    with pytest.raises(ValueError, match="^not an antichain: 'x' and 'w' are compatible$"):
+        star_witness(P, hp, ["x", "y", "z", "w"], 0)
+    with pytest.raises(ValueError, match="^not an antichain: 'a' and 'a' are compatible$"):
+        star_witness(Q, h0, ["a", "b", "a"], 0)
+
+
+def test_non_element_in_antichain_is_a_value_error():
+    Q = antichain_poset("ab")
+    h0 = {e: 0 for e in Q.elements}
+    with pytest.raises(ValueError, match="^'zz' is not an element$"):
+        star_witness(Q, h0, ["a", "zz"], 0)
+    table = NameTable(((("a", "zz"), (1, 2)),))
+    with pytest.raises(ValueError, match="^'zz' is not an element$"):
+        escape_function(Q, h0, table)
+
+
+def test_find_cover_on_unorderable_elements():
+    # ids that do not compare fall back to str order; every candidate
+    # survives the failed first sort
+    P = FinitePoset([1, "a", (2,), "top"], [], "top")
+    h = {e: 0 for e in P.elements}
+    assert find_cover(P, h, ["a"], 0) == [(2,), 1]
+    desk = DeskPoset(2)
+    heights = desk.heights()
+    for p in desk.elements[:8]:
+        cover = find_cover(desk, heights, [p], 2)
+        assert verify_cover(desk, heights, [p], 2, cover)
 
 
 def test_star_witness_matches_empty_cover_boundary():

@@ -1,0 +1,141 @@
+"""The soft layer's bitmask rows against the order they stand for, and its
+checks against the element-wise restatement in `soft_restated`."""
+
+import random
+
+import pytest
+
+import soft_restated as ref
+from support import chain_heights, greedy_max_antichain, random_poset
+
+from clopenforce import soft
+from clopenforce.perfectposet import DeskPoset, iterate_cover
+
+
+@pytest.fixture(scope="module")
+def desk2():
+    return DeskPoset(2)
+
+
+@pytest.fixture(scope="module")
+def desk3():
+    return DeskPoset(3)
+
+
+def outcome(fn, *args):
+    """The result, or the message of the ValueError raised instead."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def assert_rows(P):
+    rows = P.compat_rows()
+    assert len(rows) == len(P.elements)
+    for i, a in enumerate(P.elements):
+        down = P.down_row(i)
+        for j, b in enumerate(P.elements):
+            assert rows[i] >> j & 1 == P.compatible(a, b)
+            assert down >> j & 1 == P.leq(b, a)
+
+
+def test_rows_match_order_on_random_posets():
+    rng = random.Random(31)
+    for _ in range(40):
+        assert_rows(random_poset(rng, 7))
+
+
+def test_rows_match_order_on_desk(desk2):
+    assert desk2._down.count(None) == len(desk2.elements)  # none built up front
+    assert_rows(desk2)
+
+
+def corrupt(rng, P, h):
+    """A copy of h with one element lifted above something it lies below,
+    so that the map stops being order-reversing when there is such a pair."""
+    bad = dict(h)
+    pairs = [(a, b) for a in P.elements for b in P.elements if a != b and P.leq(a, b)]
+    if pairs:
+        a, b = rng.choice(pairs)
+        bad[b] = h[a] + rng.randint(1, 2)
+    return bad
+
+
+def escape(P, h, coords):
+    report = soft.escape_function(P, h, soft.NameTable(coords))
+    return [(c.m, c.prefix, c.f, c.punchline_ok) for c in report.coords]
+
+
+def check_poset(rng, P, h, antichains, ms):
+    """Every soft check on P agrees with the restatement, results and errors."""
+    elems = list(P.elements)
+    assert soft.check_height(P, h) == ref.check_height(P, h)
+    bad = corrupt(rng, P, h)
+    assert soft.check_height(P, bad) == ref.check_height(P, bad)
+    for m in ms:
+        for _ in range(3):
+            ps = rng.sample(elems, rng.randint(0, min(2, len(elems))))
+            qs = rng.sample(elems, rng.randint(0, min(4, len(elems))))
+            for strong in (False, True):
+                args = (P, h, ps, m, qs, strong)
+                assert soft.verify_cover(*args) == ref.verify_cover(*args)
+            found = soft.find_cover(P, h, ps, m)
+            assert found == ref.find_cover(P, h, ps, m)
+            assert soft.verify_cover(P, h, ps, m, found)
+        for chain in antichains:
+            args = (P, h, chain, m)
+            assert outcome(soft.star_witness, *args) == outcome(ref.star_witness, *args)
+    coords = tuple(
+        (tuple(chain), tuple(rng.randint(0, 9) for _ in chain)) for chain in antichains
+    )
+    for n in range(len(coords) + 1):  # the broken antichains come last
+        got = outcome(escape, P, h, coords[:n])
+        assert got == outcome(ref.escape_function, P, h, coords[:n])
+
+
+def test_soft_matches_restatement_on_random_posets():
+    rng = random.Random(37)
+    for _ in range(60):
+        P = random_poset(rng, 7)
+        h = chain_heights(P, rng)
+        antichains = [greedy_max_antichain(P, rng) for _ in range(2)]
+        # broken inputs: a non-maximal prefix and a repeated member
+        antichains.append(antichains[0][:-1])
+        antichains.append(antichains[0] + antichains[0][:1])
+        ms = range(max(h.values()) + 2)
+        check_poset(rng, P, h, antichains, ms)
+
+
+def test_soft_matches_restatement_on_desk2(desk2):
+    rng = random.Random(41)
+    h = desk2.heights()
+    for _ in range(4):
+        antichains = [greedy_max_antichain(desk2, rng) for _ in range(2)]
+        # two members: compatible with each other, or far from maximal
+        rest = [e for e in desk2.elements if e not in antichains[0]]
+        antichains.append(antichains[0][:1] + rng.sample(rest, 1))
+        check_poset(rng, desk2, h, antichains, range(3))
+
+
+def test_soft_matches_restatement_on_desk3(desk3):
+    rng = random.Random(43)
+    h = desk3.heights()
+    low = [e for e in desk3.elements if e.n <= 2]
+    chains = [greedy_max_antichain(desk3, rng) for _ in range(2)]
+    for m in range(4):
+        for chain in chains:
+            assert soft.star_witness(desk3, h, chain, m) == ref.star_witness(
+                desk3, h, chain, m
+            )
+    coords = tuple(
+        (tuple(chain), tuple(rng.randint(0, 20) for _ in chain)) for chain in chains
+    )
+    assert escape(desk3, h, coords) == ref.escape_function(desk3, h, coords)
+    for k in (1, 2):
+        ps = [rng.choice(low)]
+        family = iterate_cover(ps, k)
+        for qs in (family, family[1:]):
+            assert soft.verify_cover(desk3, h, ps, k, qs) == ref.verify_cover(
+                desk3, h, ps, k, qs
+            )
