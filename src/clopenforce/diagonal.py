@@ -142,6 +142,8 @@ class ChainReport:
 def verify_chain(chain: DiagonalChain, v: int) -> ChainReport:
     """Audit every family: quadratic in its parent, an exact partition of
     the parent coordinates, and the per-node product-measure budget."""
+    if v < 1:
+        raise ValueError("v must be positive")
     bad: list[str] = []
     fams = chain.families()
     if not chain.entries:

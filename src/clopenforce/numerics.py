@@ -15,12 +15,18 @@ Rational = Fraction
 
 
 def rational(text: str | int | Fraction) -> Fraction:
-    """Parse the "p/q" / "p" wire form (ints and Fractions pass through)."""
+    """Parse the "p/q" / "p" wire form (ints and Fractions pass through).
+
+    A zero denominator is a ValueError, like any other malformed text.
+    """
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def rational_str(x: Fraction | int) -> str:

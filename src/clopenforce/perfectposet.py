@@ -149,27 +149,20 @@ def compat_oracle(c1: PCondition, c2: PCondition) -> bool:
 def prune_to_dense(B: ClopenSet, n: int) -> PCondition:
     """Drop level-n nodes too thin for the dense part, never inventing mass.
 
-    Cylinders at one level are disjoint, so removal cannot thin a survivor;
-    the loop is a fixpoint check.  Fails when every node dies.
+    Cylinders at one level are disjoint, so removal cannot thin a survivor
+    and one pass over the level-n nodes finds every thin one.  Fails when
+    every node dies.
     """
     if n > B.depth:
         raise ValueError("level exceeds depth")
-    mask = B.mask
     depth = B.depth
     need = 1 << (depth - n - 1) if n < depth else 1
     cyls = cyl_table(depth, n)
-    while True:
-        thin = 0
-        lv = levelset_mask(mask, depth, n)
-        while lv:
-            low = lv & -lv
-            j = low.bit_length() - 1
-            if (mask & cyls[j]).bit_count() < need:
-                thin |= cyls[j]
-            lv ^= low
-        if thin == 0:
-            break
-        mask &= ~thin
+    thin = 0
+    for j in positions(levelset_mask(B.mask, depth, n)):
+        if (B.mask & cyls[j]).bit_count() < need:
+            thin |= cyls[j]
+    mask = B.mask & ~thin
     if mask == 0:
         raise PruneFailed(f"no level-{n} node of {B} retains enough mass")
     return PCondition(ClopenSet(depth, mask), n)

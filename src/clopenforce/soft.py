@@ -20,7 +20,7 @@ from functools import reduce
 from operator import or_
 from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
-from .cantor import ClopenSet, measure
+from .cantor import ClopenSet, measure, positions
 from .errors import NoCoverError
 
 Element = Hashable
@@ -33,7 +33,9 @@ class FinitePoset:
     The order is given as pairs (a, b) meaning a <= b; reflexive closure is
     taken automatically, antisymmetry and transitivity are validated.
     Down-sets are cached as bitmasks over element indices so compatibility
-    (existence of a common lower bound) is one AND.
+    (existence of a common lower bound) is one AND.  Both axioms are checked
+    on those masks in element order, so the first violation reported does
+    not depend on hashing.
     """
 
     def __init__(
@@ -49,25 +51,27 @@ class FinitePoset:
         if top not in self.index:
             raise ValueError("top is not an element")
         self.top = top
-        rel = set()
+        els = self.elements
+        down = [1 << i for i in range(len(els))]
         for a, b in leq_pairs:
             if a not in self.index or b not in self.index:
                 raise ValueError(f"relation pair ({a!r}, {b!r}) off the element list")
-            rel.add((a, b))
-        for e in self.elements:
-            rel.add((e, e))
-            rel.add((e, top))
-        for a, b in rel:
-            if a != b and (b, a) in rel:
-                raise ValueError(f"antisymmetry violated at ({a!r}, {b!r})")
-        for a, b in rel:
-            for c in self.elements:
-                if (b, c) in rel and (a, c) not in rel:
-                    raise ValueError(f"transitivity violated at ({a!r}, {b!r}, {c!r})")
-        self._rel = rel
-        self._down = [0] * len(self.elements)
-        for a, b in rel:
-            self._down[self.index[b]] |= 1 << self.index[a]
+            down[self.index[b]] |= 1 << self.index[a]
+        down[self.index[top]] = (1 << len(els)) - 1
+        for j, dj in enumerate(down):
+            for i in positions(dj & ((1 << j) - 1)):
+                if down[i] >> j & 1:
+                    pair = f"({els[i]!r}, {els[j]!r})"
+                    raise ValueError(f"antisymmetry violated at {pair}")
+        for c, dc in enumerate(down):
+            for b in positions(dc):
+                missing = down[b] & ~dc
+                if missing:
+                    a = positions(missing)[0]
+                    raise ValueError(
+                        f"transitivity violated at ({els[a]!r}, {els[b]!r}, {els[c]!r})"
+                    )
+        self._down = down
         self._rows: list[int] | None = None
 
     @classmethod
@@ -77,7 +81,9 @@ class FinitePoset:
         return cls(elements, pairs, top)
 
     def leq(self, a: Element, b: Element) -> bool:
-        return (a, b) in self._rel
+        """a <= b; False when either is not an element."""
+        i, j = self.index.get(a), self.index.get(b)
+        return i is not None and j is not None and self._down[j] >> i & 1 == 1
 
     def compatible(self, a: Element, b: Element) -> bool:
         return self._down[self.index[a]] & self._down[self.index[b]] != 0

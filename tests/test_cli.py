@@ -1,9 +1,13 @@
+import argparse
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+from clopenforce import cli
 from clopenforce.cli import VERB_TABLE, dispatch
 
 
@@ -12,21 +16,137 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+POSET = {"elements": ["a", "b", "top"], "leq": [], "top": "top",
+         "height": {"a": 0, "b": 0, "top": 0}}
+CHAIN = {"elements": ["a", "b", "top"], "leq": [["a", "b"]], "top": "top",
+         "height": {"a": 2, "b": 1, "top": 0}}
+FAMILY = {"n": 2, "k": 2, "Z": ["00", "01", "10", "11"],
+          "weights": [{"T": ["00", "01", "10", "11"], "a": "1"}]}
+SCHED = {"m": 2, "delta": "1/256", "z": [2, 2048], "y": [8],
+         "eps": "1/68719476736", "v": 2049}
+SCHED_FAIL = {"m": 1, "delta": "1/10", "z": [2], "y": [], "eps": "1/4000", "v": 3}
+COVER = [{"n": 0, "Z": []}, {"n": 2, "Z": ["00", "11"]}, {"n": 3, "Z": ["010"]}]
+OVERSIZE = [{"n": 0, "Z": []}, {"n": 2, "Z": ["00", "01", "10", "11"]}]
+AVOID = {"r": "0000", "d": [0, 2, 4], "depth": 4,
+         "partition": {"intervals": [[0, 4]], "J": [["0011"]]},
+         "K": [["0011", "1100", "0000", "1111"]], "points": [2]}
+CHAIN_D2 = {"order": 1, "entries": [
+    {"i": i, "p": {"depth": 2, "nodes": [node]}, "q": {"depth": 2, "nodes": [node]},
+     "sigma": [], "tau": []}
+    for i, node in enumerate(("00", "01", "10", "11"))]}
+B = "(d=2:{00,01}, n=1)"
+TOP = "(d=2:{00,01,10,11}, n=0)"
+
+
+def pinned_calls() -> list[list[str]]:
+    """Every verb path with a valid payload, the tsv renderings, the global
+    flags before and after the verb, exit-1 cases and usage errors; files
+    are read from the working directory (see `write_pinned_files`)."""
+    j = json.dumps
+    return [
+        ["eps", "--k", "3", "--kprime", "1"],
+        ["eps", "--kprime", "1", "--bound", "1/16"],
+        ["eps", "--binom", "4", "2"],
+        ["eps", "--k", "3", "--kprime", "9"],
+        ["eps"],
+        ["eps", "--kprime", "2", "--bound", "0"],
+        ["cover", "halve", "--json", j(FAMILY), "--kprime", "1"],
+        ["cover", "goodness", "--kprime", "1", "--json",
+         j({"level": 2, "Z": ["00", "01", "10", "11"], "T": ["00", "01"]})],
+        ["cover", "schedule", "--eps", "1/2", "--m", "2"],
+        ["--format", "tsv", "cover", "schedule", "--eps", "1/3", "--m", "3"],
+        ["cover", "schedule", "--eps", "1/2", "--m", "2", "--format", "tsv"],
+        ["cover", "shrink", "--eps", "1/2", "--m", "1", "--json", j(dict(FAMILY, k=3))],
+        ["cover", "shrink", "--eps", "1/2", "--m", "2", "--json", j(dict(FAMILY, k=3))],
+        ["cover", "nonsense"],
+        ["cover", "halve", "--json", "{}"],
+        ["pforce", "leq", "--c1", B, "--c2", "(d=2:{00,01}, n=0)"],
+        ["pforce", "compat", "--c1", B, "--c2", "(d=2:{10,11}, n=1)"],
+        ["pforce", "cover", "-b", B, "--k", "2"],
+        ["pforce", "cover", "-b", B, "-b", "(d=2:{00,10}, n=2)", "--k", "2"],
+        ["pforce", "cover", "-b", B, "--against", TOP, "--k", "2"],
+        ["pforce", "oracle-check", "-b", B, "--against", TOP, "--k", "2"],
+        ["pforce", "oracle-check", "--samples", "40", "--seed", "7", "--depth", "4"],
+        ["--seed", "7", "--depth", "4", "pforce", "oracle-check", "--samples", "40"],
+        ["--seed", "5", "pforce", "oracle-check", "--samples", "30", "--depth", "2"],
+        ["--depth", "2", "pforce", "oracle-check", "--samples", "30", "--seed", "5"],
+        ["pforce", "oracle-check"],
+        ["soft", "height", "--json", j(POSET)],
+        ["soft", "height", "--json", j(dict(CHAIN, height={"a": 0, "b": 1, "top": 0}))],
+        ["soft", "cover", "--ps", "a", "--m", "1", "--json", j(POSET)],
+        ["soft", "cover", "--ps", "a", "--qs", "b", "--m", "1", "--json", j(POSET)],
+        ["soft", "cover", "--ps", "a", "--qs", "b", "--m", "1", "--strong",
+         "--json", j(CHAIN)],
+        ["soft", "cover", "--ps", "b", "--qs", "--m", "0", "--json", j(CHAIN)],
+        ["soft", "star", "--antichain", "a", "b", "--m", "0", "--json", j(POSET)],
+        ["soft", "star", "--antichain", "a", "--m", "1", "--json", j(CHAIN)],
+        ["soft", "escape", "--json",
+         j(dict(POSET, coords=[{"antichain": ["a", "b"], "values": [5, 3]}]))],
+        ["soft", "product", "--m", "1", "--json", j({
+            "first": dict(POSET, supp={"a": 0, "b": 0, "top": 0}),
+            "second": POSET, "pairs": [["top", "a"]]})],
+        ["soft", "product", "--m", "1", "--json",
+         j({"first": CHAIN, "second": POSET, "pairs": [["a", "b"]]})],
+        ["soft", "star", "--json", "{}"],
+        ["soft", "escape", "--json", j(POSET)],
+        ["soft", "cover", "--file", "/nonexistent/poset.json"],
+        ["soft", "star", "--antichain", "zz", "--json", j(POSET)],
+        ["soft", "cover", "--ps", "zz", "--json", j(POSET)],
+        ["diag", "build", "--m", "1", "--granularity", "2", "--v", "3", "--depth", "2"],
+        ["diag", "build", "--m", "1", "--granularity", "1", "--v", "2"],
+        ["diag", "verify", "--v", "3", "--json", j(CHAIN_D2)],
+        ["diag", "verify", "--v", "2", "--json", j(CHAIN_D2)],
+        ["diag", "zeta", "--l", "1", "--json", j(SCHED)],
+        ["diag", "zeta", "--l", "0", "--variant", "2.6", "--json", j(SCHED)],
+        ["diag", "validate", "--file", "sched.json"],
+        ["diag", "validate", "--variant", "2.6", "--json", j(SCHED)],
+        ["diag", "validate", "--file", "sched_fail.json"],
+        ["--format", "tsv", "diag", "validate", "--file", "sched_fail.json"],
+        ["diag", "validate", "--json", j(SCHED), "--format", "tsv"],
+        ["diag", "search", "--m", "1"],
+        ["diag", "search", "--m", "2"],
+        ["ncov", "budget", "--file", "cover.json"],
+        ["ncov", "budget", "--json", "[]"],
+        ["ncov", "budget", "--json", j(OVERSIZE)],
+        ["--format", "tsv", "ncov", "budget", "--json", j(COVER)],
+        ["ncov", "budget", "--format", "tsv", "--json", j(OVERSIZE)],
+        ["ncov", "measure", "--indices", "1", "2", "--json", j(COVER)],
+        ["ncov", "sparse", "--points", "0", "1", "2", "3", "--json",
+         j([{"intervals": [[0, 2], [2, 4]], "J": [[], []]}])],
+        ["ncov", "kn", "--traps", "0110", "--lo", "0", "--hi", "4", "--i", "2"],
+        ["ncov", "tree", "--r", "0000", "--d", "0", "2", "4", "--level", "4"],
+        ["ncov", "avoid", "--json", j(AVOID)],
+        ["ncov", "avoid", "--json", j(dict(AVOID, K=[["0011"]]))],
+        ["nonsense"],
+    ]
+
+
+def write_pinned_files(directory: Path) -> None:
+    for name, obj in (("sched.json", SCHED), ("sched_fail.json", SCHED_FAIL),
+                      ("cover.json", COVER)):
+        (directory / name).write_text(json.dumps(obj))
+
+
 def test_eps_example(capsys):
     code, out = run(capsys, "eps", "--k", "3", "--kprime", "1")
     assert code == 0 and out == "1/4\n"
 
 
+def python_m(argv, **env):
+    """`python -m clopenforce argv` in a child process, extra env applied."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, "-m", "clopenforce", *argv], capture_output=True, env=env
+    )
+
+
 def test_python_dash_m_matches_dispatch(capsys):
     argv = ["eps", "--k", "3", "--kprime", "1"]
     code, out = run(capsys, *argv)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-m", "clopenforce", *argv], capture_output=True, env=env
-    )
+    proc = python_m(argv)
     assert (proc.returncode, proc.stdout) == (code, out.encode())
 
 
@@ -43,9 +163,12 @@ def test_usage_errors(capsys):
     assert dispatch(["nonsense"]) == 2
     code, out = run(capsys, "eps", "--k", "3", "--kprime", "9")
     assert code == 2 and out.startswith("usage-error")
-    # malformed payloads: missing keys, a missing file, a non-element
+    # malformed payloads: missing keys, a missing file, a non-element, zero
+    # denominators, non-object maps, missing flags, short pairs, v = 0
     poset = {"elements": ["a", "top"], "leq": [], "top": "top",
              "height": {"a": 0, "top": 0}}
+    product = {"first": dict(POSET, supp=["a"]), "second": POSET,
+               "pairs": [["top", "a"]]}
     for argv in (
         ("soft", "star", "--json", "{}"),
         ("soft", "escape", "--json", json.dumps(poset)),
@@ -53,9 +176,37 @@ def test_usage_errors(capsys):
         ("cover", "halve", "--json", "{}"),
         ("soft", "star", "--json", json.dumps(poset), "--antichain", "zz"),
         ("soft", "cover", "--json", json.dumps(poset), "--ps", "zz"),
+        ("eps", "--kprime", "1", "--bound", "1/0"),
+        ("cover", "schedule", "--eps", "1/0", "--m", "2"),
+        ("cover", "schedule", "--eps", "one", "--m", "2"),
+        ("diag", "zeta", "--json", json.dumps(dict(SCHED, delta="1/0"))),
+        ("cover", "halve", "--json",
+         json.dumps(dict(FAMILY, weights=[{"T": ["00"], "a": "1/0"}]))),
+        ("soft", "height", "--json", json.dumps(dict(POSET, height=[]))),
+        ("soft", "product", "--json", json.dumps(product)),
+        ("pforce", "leq", "--c1", B),
+        ("soft", "product", "--json", json.dumps(dict(product, pairs=[["top"]]))),
+        ("diag", "verify", "--v", "0", "--json", json.dumps(CHAIN_D2)),
     ):
         code, out = run(capsys, *argv)
         assert code == 2 and out.startswith("usage-error:"), argv
+
+
+def test_poset_errors_do_not_depend_on_the_hash_seed():
+    leq = {"elements": ["a", "b", "c", "d", "t"], "top": "t",
+           "leq": [["a", "b"], ["b", "c"], ["c", "d"]]}
+    cycle = {"elements": ["a", "b", "c", "t"], "top": "t",
+             "leq": [["a", "b"], ["b", "c"], ["c", "b"], ["b", "a"]]}
+    outputs = [
+        [python_m(["soft", "height", "--json", json.dumps(poset)],
+                  PYTHONHASHSEED=seed).stdout for poset in (leq, cycle)]
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == [
+        b"usage-error: transitivity violated at ('a', 'b', 'c')\n",
+        b"usage-error: antisymmetry violated at ('a', 'b')\n",
+    ]
 
 
 def test_diag_validate_failing_schedule(tmp_path, capsys):
@@ -228,3 +379,98 @@ def test_verb_table_reaches_each_operation_once():
         assert hasattr(
             importlib.import_module(f"clopenforce.{module}"), func
         ), op
+
+
+def test_cli_bytes_pinned(tmp_path, monkeypatch, capsys):
+    # sha256 over (argv, exit code, stdout) of `pinned_calls` and over
+    # VERB_TABLE, pinned from the hand-written dispatch and table that the
+    # verb registry replaced: the registry keeps every byte
+    write_pinned_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    rows = [[argv, *run(capsys, *argv)] for argv in pinned_calls()]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "fbdd3889afd377b6cc839d23264e39230c251a78aaac6265693c8dcebb337d9b"
+    table = json.dumps(list(VERB_TABLE.items())).encode()
+    assert hashlib.sha256(table).hexdigest() == (
+        "efa8c0e259914941b7995356dd1219e31bfbc8c55d591705758a5bd70738bfb7"
+    )
+
+
+def test_parser_accepts_exactly_the_registry_paths():
+    parser = cli._parser()
+    verbs = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    accepted = []
+    for verb, sub in verbs.items():
+        actions = [a.choices for a in sub._actions if a.dest == "action"]
+        accepted += [f"{verb} {action}" for action in actions[0]] if actions else [verb]
+    assert accepted == list(cli._HANDLERS) == list(VERB_TABLE)
+    assert cli._parser() is parser  # built once per process
+
+
+HUGE = 2**64
+BAD_JSON = (None, True, 1.5, "x", "", "1/0", "one", "0a", "2", [], {}, [[]], ["0a"],
+            {"a": 1}, -1, -3, HUGE)
+BAD_FLAGS = ("-1", "0", "x", "", "1/0", "one", "0a", str(HUGE), "(d=2:{0a}, n=1)",
+             "(d=2:{}, n=0)", "(d=9, n=1)", "(d=2:{00}, n=5)", "d=2:{00}")
+# Sizes and counts the CLI does not bound: a huge depth or level asks for a
+# mask of 2^value bits, a huge count for that many rounds or samples, so
+# HUGE is not tried there (negative values are).
+UNBOUNDED = {"--depth", "--granularity", "--k", "--kprime", "--m", "--samples",
+             "depth", "n"}
+
+
+def _slots(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _slots(value, path + (key,))
+
+
+def _malformed(rng, argv):
+    """argv with one bad JSON value, a dropped JSON key, a missing --file, a
+    bad flag value or a dropped flag."""
+    argv = list(argv)
+    if "--json" in argv and rng.random() < 0.6:
+        at = argv.index("--json") + 1
+        obj = json.loads(argv[at])
+        path = rng.choice(list(_slots(obj)))
+        if not path:
+            return argv[:at] + [json.dumps(rng.choice(BAD_JSON))] + argv[at + 1:]
+        holder = obj
+        for key in path[:-1]:
+            holder = holder[key]
+        if isinstance(holder, dict) and rng.random() < 0.3:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = rng.choice(
+                [v for v in BAD_JSON if v != HUGE or path[-1] not in UNBOUNDED])
+        argv[at] = json.dumps(obj)
+        return argv
+    if "--json" in argv and rng.random() < 0.2:
+        at = argv.index("--json")
+        return argv[:at] + ["--file", "/nonexistent/payload.json"] + argv[at + 2:]
+    at = rng.choice([i for i, a in enumerate(argv[:-1]) if a.startswith("-")])
+    if rng.random() < 0.2:
+        return argv[:at] + argv[at + 2:]
+    argv[at + 1] = rng.choice(
+        [v for v in BAD_FLAGS if v != str(HUGE) or argv[at] not in UNBOUNDED])
+    return argv
+
+
+def test_malformed_input_never_escapes(tmp_path, monkeypatch):
+    # every verb path, a fixed seed, bad inputs derived from the pinned calls
+    # of that path: each exits 0, 1 or 2 and none raises
+    write_pinned_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    calls = pinned_calls()
+    for path in VERB_TABLE:
+        words = path.split()
+        bases = [argv for argv in calls if argv[:len(words)] == words
+                 and len(argv) > len(words)]
+        rng = random.Random(path)
+        for _ in range(100):
+            argv = _malformed(rng, rng.choice(bases))
+            assert dispatch(argv) in (0, 1, 2), argv

@@ -91,3 +91,6 @@ def test_rational_wire_format():
     assert rational_str(Fraction(5, 8)) == "5/8"
     assert rational_str(Fraction(6, 2)) == "3"
     assert rational_str(Fraction(-1, 4)) == "-1/4"
+    for bad in ("1/0", "0/0", "one", "1/"):
+        with pytest.raises(ValueError):
+            rational(bad)

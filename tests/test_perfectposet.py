@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -84,6 +85,25 @@ def test_prune_to_dense():
     assert pruned.B.nodes() == ("100", "101", "110", "111")
     with pytest.raises(PruneFailed):
         prune_to_dense(canonicalize(["000", "100"], 3), 1)
+
+
+def test_prune_to_dense_matches_node_restatement():
+    # every mask and level at depth <= 3: exactly the level-n nodes holding at
+    # least half their cylinder are kept, and PruneFailed when none is
+    for depth in range(4):
+        for mask in range(1 << (1 << depth)):
+            B = ClopenSet(depth, mask)
+            leaves = B.nodes()
+            for n in range(depth + 1):
+                counts = Counter(leaf[:n] for leaf in leaves)
+                kept = {u for u, c in counts.items() if 2 * c >= 1 << (depth - n)}
+                if not kept:
+                    with pytest.raises(PruneFailed):
+                        prune_to_dense(B, n)
+                    continue
+                want = tuple(leaf for leaf in leaves if leaf[:n] in kept)
+                pruned = prune_to_dense(B, n)
+                assert (pruned.B.nodes(), pruned.n) == (want, n), (depth, mask, n)
 
 
 def test_full_resolution_commitment_is_always_dense():

@@ -1,3 +1,4 @@
+import ast
 import random
 from fractions import Fraction
 
@@ -34,6 +35,36 @@ def test_finite_poset_validation():
     FinitePoset(["a", "b", "c", "top"], [("a", "b"), ("b", "c"), ("a", "c")], "top")
     with pytest.raises(ValueError):
         FinitePoset(["a"], [], "b")
+
+
+def test_finite_poset_validation_matches_relation_restatement():
+    # every relation on four elements below a top: rejected exactly when its
+    # reflexive closure with the top breaks an axiom, naming the first
+    # violation in element order (antisymmetry first; by the larger element,
+    # then the smaller; transitivity by c, then b, then a); accepted
+    # relations are what leq answers
+    els = ("a", "b", "c", "d", "t")
+    pairs = [(x, y) for x in "abcd" for y in "abcd" if x != y]
+    for bits in range(1 << len(pairs)):
+        given = [p for k, p in enumerate(pairs) if bits >> k & 1]
+        rel = set(given) | {(e, e) for e in els} | {(e, "t") for e in els}
+        cycles = [(x, y) for x, y in rel if x < y and (y, x) in rel]
+        gaps = [
+            (x, y, z) for x, y in rel for y2, z in rel if y == y2 and (x, z) not in rel
+        ]
+        if cycles or gaps:
+            with pytest.raises(ValueError) as err:
+                FinitePoset(els, given, "t")
+            if cycles:
+                first = "antisymmetry", min(cycles, key=lambda p: p[::-1])
+            else:
+                first = "transitivity", min(gaps, key=lambda t: t[::-1])
+            kind, _, at = str(err.value).partition(" violated at ")
+            assert (kind, ast.literal_eval(at)) == first, given
+            continue
+        P = FinitePoset(els, given, "t")
+        assert {(x, y) for x in els for y in els if P.leq(x, y)} == rel
+    assert not P.leq("a", "zz") and not P.leq("zz", "t")
 
 
 def test_check_height_examples():
