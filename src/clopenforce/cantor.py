@@ -13,10 +13,12 @@ from functools import lru_cache
 from typing import Iterable
 
 __all__ = [
+    "MAX_DEPTH",
     "ClopenSet",
     "LevelSet",
     "boolean_op",
     "canonicalize",
+    "check_depth",
     "complement",
     "cyl_mask",
     "cyl_table",
@@ -33,6 +35,23 @@ __all__ = [
     "parse_clopen",
     "positions",
 ]
+
+
+MAX_DEPTH = 24
+"""Largest depth of a clopen set or cylinder, and largest level of a level set.
+
+A depth-d mask has 2^d bits and the range checks build 1 << 2^d, so one
+such value takes 2 MiB at depth 24 and gigabytes past depth 32.  24 is
+twice the deepest depth the tests and the benchmark use (12, the
+null-cover trap trees).
+"""
+
+
+def check_depth(depth: int, what: str = "depth") -> int:
+    """depth itself, or a ValueError when it lies outside 0..MAX_DEPTH."""
+    if not 0 <= depth <= MAX_DEPTH:
+        raise ValueError(f"{what} {depth} outside 0..{MAX_DEPTH}")
+    return depth
 
 
 def node_index(bits: str) -> int:
@@ -54,6 +73,7 @@ def cyl_mask(depth: int, level: int, index: int) -> int:
     Leaves under a node form one contiguous bit block because leaf order is
     numeric on the node bits.
     """
+    check_depth(depth)
     if not 0 <= level <= depth:
         raise ValueError("level out of range")
     if not 0 <= index < (1 << level):
@@ -100,22 +120,28 @@ _PROJECTIONS = tuple(
 
 
 def levelset_mask(mask: int, depth: int, level: int) -> int:
-    """Project a depth-level mask to the set of its length-`level` prefixes."""
+    """Project a depth-level mask to the set of its length-`level` prefixes.
+
+    A mask outside 0 <= mask < 2^(2^depth) is a ValueError.
+    """
     if not 0 <= level <= depth:
         raise ValueError("level out of range")
-    if depth <= _TABLE_DEPTH:
-        return _PROJECTIONS[depth][level][mask]
+    if depth <= _TABLE_DEPTH and mask >= 0:
+        try:
+            return _PROJECTIONS[depth][level][mask]
+        except IndexError:
+            pass  # too large for the table: rejected below
+    if depth > MAX_DEPTH or mask < 0 or mask >> (1 << depth):
+        raise ValueError("mask out of range for depth")
     if level == depth:
         return mask
     shift = depth - level
-    block = (1 << (1 << shift)) - 1
     out = 0
-    m = mask
-    while m:
-        j = (m & -m).bit_length() - 1 >> shift
+    while mask:
+        j = (mask & -mask).bit_length() - 1 >> shift
         out |= 1 << j
-        # skip the rest of this node's block
-        m &= ~(block << (j << shift))
+        # skip the rest of this node's block: nothing below it is left
+        mask &= -1 << (j + 1 << shift)
     return out
 
 
@@ -158,8 +184,7 @@ class LevelSet:
     mask: int
 
     def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError("level must be nonnegative")
+        check_depth(self.level, "level")
         if not 0 <= self.mask < (1 << (1 << self.level)):
             raise ValueError("mask out of range for level")
 
@@ -192,8 +217,7 @@ class ClopenSet:
     mask: int
 
     def __post_init__(self) -> None:
-        if self.depth < 0:
-            raise ValueError("depth must be nonnegative")
+        check_depth(self.depth)
         if not 0 <= self.mask < (1 << (1 << self.depth)):
             raise ValueError("mask out of range for depth")
 
@@ -306,11 +330,3 @@ def clopen_to_json(B: ClopenSet) -> dict:
 
 def clopen_from_json(obj: dict) -> ClopenSet:
     return canonicalize(obj["nodes"], obj["depth"])
-
-
-def levelset_to_json(L: LevelSet) -> dict:
-    return {"level": L.level, "nodes": list(L.nodes())}
-
-
-def levelset_from_json(obj: dict) -> LevelSet:
-    return LevelSet.from_nodes(obj["level"], obj["nodes"])

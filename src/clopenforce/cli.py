@@ -257,7 +257,7 @@ def _pforce_cover(args) -> int:
 def _pforce_oracle_check(args) -> int:
     if args.samples:
         rng = random.Random(args.seed)
-        depth = args.depth
+        depth = cantor.check_depth(args.depth)
         disagreements = 0
         for _ in range(args.samples):
             conds = []

@@ -68,11 +68,6 @@ class WeightFamily:
             if (T & self.Z.mask).bit_count() < self.k:
                 raise ValueError("every weighted set must meet Z in >= k nodes")
 
-    @classmethod
-    def from_weights(cls, n: int, k: int, Z: LevelSet, weights) -> "WeightFamily":
-        items = weights.items() if hasattr(weights, "items") else weights
-        return cls(n, k, Z, tuple((T, Fraction(a)) for T, a in items))
-
     def total(self) -> Fraction:
         return sum((a for _, a in self.weights), Fraction(0))
 

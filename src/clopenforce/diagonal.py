@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cantor import ClopenSet, cyl_mask, full_set, measure
+from .cantor import ClopenSet, check_depth, cyl_mask, full_set, measure
 from .errors import DepthExhausted, GranularityTooCoarse, SearchExhausted
 
 __all__ = [
@@ -96,11 +96,11 @@ def build_chain(m: int, granularity: int, v: int, depth: int) -> DiagonalChain:
     """
     if m < 1 or granularity < 1 or v < 1:
         raise ValueError("m, granularity, v must be positive")
-    if (1 << granularity) <= v:
+    if granularity < v.bit_length():
         raise GranularityTooCoarse(
             f"2^{granularity} pieces cannot beat the 1/{v} budget"
         )
-    if m * granularity > depth:
+    if m * granularity > check_depth(depth):
         raise DepthExhausted(f"{m} levels of {granularity} bits exceed depth {depth}")
     span = 1 << granularity
     entries: dict[ChainKey, ProductCondition] = {}

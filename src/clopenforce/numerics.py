@@ -8,7 +8,6 @@ denominator is 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
@@ -42,16 +41,6 @@ def binom(n: int, j: int) -> int:
     return math.comb(n, j)
 
 
-@dataclass(frozen=True)
-class EpsilonQuery:
-    k: int
-    k_prime: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.k_prime <= self.k:
-            raise ValueError(f"need 1 <= k' <= k, got k'={self.k_prime}, k={self.k}")
-
-
 def epsilon(k: int, k_prime: int) -> Fraction:
     """2^(1-k) * sum_{j<k'} C(k, j), the leading 1 read as C(k, 0).
 
@@ -59,7 +48,8 @@ def epsilon(k: int, k_prime: int) -> Fraction:
     exact loss budget of one halving round.  Accepts k' = k (where the
     value exceeds 1 and the halving bound is vacuous).
     """
-    EpsilonQuery(k, k_prime)
+    if not 1 <= k_prime <= k:
+        raise ValueError(f"need 1 <= k' <= k, got k'={k_prime}, k={k}")
     tail = sum(binom(k, j) for j in range(k_prime))
     return Fraction(2 * tail, 2**k)
 

@@ -11,7 +11,7 @@ forms are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cantor import (
     ClopenSet,
@@ -26,6 +26,7 @@ from .cantor import (
     clopen_to_json,
 )
 from .errors import DepthExhausted, PruneFailed
+from .soft import FinitePoset
 
 __all__ = [
     "PCondition",
@@ -342,58 +343,28 @@ def enumerate_pprime(depth: int, max_n: int | None = None) -> tuple[PCondition, 
     return tuple(out)
 
 
-class DeskPoset:
-    """The dense part at one depth as a poset the soft machinery accepts.
+class DeskPoset(FinitePoset):
+    """The dense part at one depth as a `FinitePoset` under the closed-form
+    order `_leq_masks` (oracle-validated).
 
-    Order and compatibility are the closed forms above (oracle-validated),
-    so antichain and cover checks over hundreds of conditions stay fast.
+    Its compatibility, a common lower bound among the elements, is
+    `p_compatible`: a common extension (E, k) puts the dense condition
+    (E, depth) below both.
     """
 
-    def __init__(self, depth: int, max_n: int | None = None) -> None:
+    def __init__(self, depth: int) -> None:
         self.depth = depth
-        self.elements = enumerate_pprime(depth, max_n)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        self.top = top_condition(depth)
-        if self.top not in self.index:
-            raise ValueError("desk poset must contain the top condition")
-        self._rows: list[int] | None = None
-        self._down: list[int | None] = [None] * len(self.elements)
-
-    def leq(self, a: PCondition, b: PCondition) -> bool:
-        return _leq_masks(a.B.mask, a.n, b.B.mask, b.n, self.depth)
-
-    def compatible(self, a: PCondition, b: PCondition) -> bool:
-        return _compat_masks(a.B.mask, a.n, b.B.mask, b.n, self.depth)
+        els = enumerate_pprime(depth)
+        pairs = (
+            (a, b)
+            for b in els
+            for a in els
+            if _leq_masks(a.B.mask, a.n, b.B.mask, b.n, depth)
+        )
+        super().__init__(els, pairs, top_condition(depth))
 
     def heights(self) -> dict[PCondition, int]:
         return {e: e.n for e in self.elements}
-
-    def compat_rows(self) -> list[int]:
-        """Row i is the bitmask of elements compatible with element i."""
-        if self._rows is None:
-            size = len(self.elements)
-            rows = [0] * size
-            for i in range(size):
-                rows[i] |= 1 << i
-                for j in range(i + 1, size):
-                    if self.compatible(self.elements[i], self.elements[j]):
-                        rows[i] |= 1 << j
-                        rows[j] |= 1 << i
-            self._rows = rows
-        return self._rows
-
-    def down_row(self, i: int) -> int:
-        """Bitmask of the elements below element i.  Built per row on first
-        use: all rows at once would cost every desk a fifth of a second."""
-        row = self._down[i]
-        if row is None:
-            b = self.elements[i]
-            row = 0
-            for j, a in enumerate(self.elements):
-                if _leq_masks(a.B.mask, a.n, b.B.mask, b.n, self.depth):
-                    row |= 1 << j
-            self._down[i] = row
-        return row
 
 
 def pcondition_to_json(c: PCondition) -> dict:

@@ -2,12 +2,9 @@
 escape function, over explicit finite posets.
 
 Compatibility of two elements means existence of a common lower bound among
-the listed elements.  A poset here is anything with `.elements`, `.index`
-(element -> position), `.top`, `.leq(a, b)`, `.compatible(a, b)`,
-`.compat_rows()` (row i: bitmask of the positions compatible with element
-i) and `.down_row(i)` (bitmask of the positions <= element i), as
-`FinitePoset` and `perfectposet.DeskPoset` have.  The checks turn elements
-into positions once, on entry, and then only OR and AND those rows.
+the listed elements.  The checks take a `FinitePoset` (`perfectposet.DeskPoset`
+is one); they turn elements into positions once, on entry, and then only OR
+and AND its bitmask rows.
 """
 
 from __future__ import annotations

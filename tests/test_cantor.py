@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from clopenforce import cantor
 from clopenforce.cantor import (
+    MAX_DEPTH,
     ClopenSet,
     LevelSet,
     boolean_op,
@@ -11,6 +17,7 @@ from clopenforce.cantor import (
     clopen_from_json,
     clopen_to_json,
     complement,
+    cyl_mask,
     cyl_table,
     cylinder_meet,
     dense_mask,
@@ -77,6 +84,40 @@ def test_levelset_mask_level_out_of_range_raises():
         for level in (-1, depth + 1):
             with pytest.raises(ValueError):
                 levelset_mask(1, depth, level)
+
+
+def test_levelset_mask_mask_out_of_range_raises():
+    for depth in range(6):  # table path through depth 3, loop beyond
+        bad = [1 << (1 << depth), 1 << 40]
+        if depth <= 3:  # a negative mask on the loop path: see the next test
+            bad += [-1, -(1 << 40)]
+        for mask in bad:
+            with pytest.raises(ValueError):
+                levelset_mask(mask, depth, min(1, depth))
+
+
+def test_levelset_mask_negative_on_loop_path_raises_in_time():
+    # the block-skip loop never ends on a negative mask unless it is
+    # rejected first; a child process lets a hang fail the test
+    code = "from clopenforce.cantor import levelset_mask\nlevelset_mask(-1, 4, 1)\n"
+    src = str(Path(cantor.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert "ValueError: mask out of range for depth" in done.stderr
+
+
+def test_depth_bound():
+    assert ClopenSet(MAX_DEPTH, 1).depth == MAX_DEPTH
+    assert LevelSet(MAX_DEPTH, 1).level == MAX_DEPTH
+    assert cyl_mask(MAX_DEPTH, MAX_DEPTH, 0) == 1
+    for depth in (-1, MAX_DEPTH + 1, 2**64):
+        for make in (ClopenSet, LevelSet, lambda d, _: cyl_mask(d, 0, 0)):
+            with pytest.raises(ValueError):
+                make(depth, 0)
+        with pytest.raises(ValueError):
+            levelset_mask(0, depth, 0)
 
 
 def test_density_predicate_matches_node_counts():

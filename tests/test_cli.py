@@ -414,11 +414,10 @@ BAD_JSON = (None, True, 1.5, "x", "", "1/0", "one", "0a", "2", [], {}, [[]], ["0
             {"a": 1}, -1, -3, HUGE)
 BAD_FLAGS = ("-1", "0", "x", "", "1/0", "one", "0a", str(HUGE), "(d=2:{0a}, n=1)",
              "(d=2:{}, n=0)", "(d=9, n=1)", "(d=2:{00}, n=5)", "d=2:{00}")
-# Sizes and counts the CLI does not bound: a huge depth or level asks for a
-# mask of 2^value bits, a huge count for that many rounds or samples, so
-# HUGE is not tried there (negative values are).
-UNBOUNDED = {"--depth", "--granularity", "--k", "--kprime", "--m", "--samples",
-             "depth", "n"}
+# Counts the CLI does not bound: a huge count asks for that many rounds or
+# samples, so HUGE is not tried there (negative values are).  Depths and
+# levels are bounded by cantor.MAX_DEPTH and do get HUGE.
+UNBOUNDED = {"--k", "--kprime", "--m", "--samples"}
 
 
 def _slots(obj, path=()):
@@ -474,3 +473,23 @@ def test_malformed_input_never_escapes(tmp_path, monkeypatch):
         for _ in range(100):
             argv = _malformed(rng, rng.choice(bases))
             assert dispatch(argv) in (0, 1, 2), argv
+
+
+def test_oversized_depths_exit_2(capsys):
+    # a depth or level above cantor.MAX_DEPTH is a usage error, raised before
+    # any mask of 2^depth bits is built
+    huge = str(HUGE)
+    for argv in (
+        ("pforce", "oracle-check", "--samples", "4", "--depth", "40"),
+        ("pforce", "oracle-check", "--samples", "4", "--depth", huge),
+        ("diag", "build", "--m", "1", "--granularity", "2", "--v", "3", "--depth", "40"),
+        ("diag", "build", "--m", "1", "--granularity", huge, "--v", "3", "--depth", huge),
+        ("ncov", "budget", "--json", json.dumps([{"n": HUGE, "Z": []}])),
+        ("pforce", "leq", "--c1", "(d=40:{0}, n=0)", "--c2", B),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 2 and out.startswith("usage-error:"), argv
+    # a huge granularity within a small depth is the depth check's failure
+    argv = ("diag", "build", "--m", "1", "--granularity", huge, "--v", "3", "--depth", "2")
+    code, out = run(capsys, *argv)
+    assert code == 1 and out.startswith("depth-exhausted:")

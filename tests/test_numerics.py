@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from clopenforce.numerics import (
-    EpsilonQuery,
     binom,
     epsilon,
     min_k_for,
@@ -37,8 +36,6 @@ def test_epsilon_rejects_bad_kprime():
         epsilon(3, 0)
     with pytest.raises(ValueError):
         epsilon(3, 4)
-    with pytest.raises(ValueError):
-        EpsilonQuery(2, 3)
 
 
 def test_epsilon_is_twice_the_lower_tail():

@@ -209,6 +209,12 @@ def test_desk_poset_agrees_with_module_predicates():
         assert desk.compatible(a, b) == p_compatible(a, b)
     assert desk.top == top_condition(2)
     assert desk.heights()[desk.top] == 0
+    # a condition of another depth is no element: the order says no, the
+    # compatibility lookup fails
+    outsider = cond(["0"], 3, 1)
+    assert not desk.leq(outsider, desk.top)
+    with pytest.raises(KeyError):
+        desk.compatible(outsider, desk.top)
 
 
 def test_condition_wire_formats():

@@ -9,7 +9,7 @@ import soft_restated as ref
 from support import chain_heights, greedy_max_antichain, random_poset
 
 from clopenforce import soft
-from clopenforce.perfectposet import DeskPoset, iterate_cover
+from clopenforce.perfectposet import DeskPoset, iterate_cover, p_compatible, p_leq
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +47,23 @@ def test_rows_match_order_on_random_posets():
 
 
 def test_rows_match_order_on_desk(desk2):
-    assert desk2._down.count(None) == len(desk2.elements)  # none built up front
     assert_rows(desk2)
+
+
+@pytest.mark.parametrize("name", ["desk2", "desk3"])
+def test_desk_rows_match_closed_forms_exhaustively(name, request):
+    # the desk's order is the closed-form p_leq, and its compatibility (a
+    # common lower bound among the elements) is p_compatible, on every
+    # ordered pair
+    desk = request.getfixturevalue(name)
+    rows = desk.compat_rows()
+    for i, a in enumerate(desk.elements):
+        compat = down = 0
+        for j, b in enumerate(desk.elements):
+            compat |= p_compatible(a, b) << j
+            down |= p_leq(b, a) << j
+        assert rows[i] == compat, a
+        assert desk.down_row(i) == down, a
 
 
 def corrupt(rng, P, h):
