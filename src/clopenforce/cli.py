@@ -147,18 +147,25 @@ def _c1_c2(args) -> tuple[perfectposet.PCondition, perfectposet.PCondition]:
 
 # ------------------------------------------------------------ verb registry
 
+# A flag: its argparse names and add_argument keywords.
+Flag = tuple[tuple[str, ...], dict]
+
 # verb path ("cover halve", or a bare verb) -> its handler, in CLI order
 _HANDLERS: dict[str, Callable[[argparse.Namespace], int]] = {}
+# verb path -> the flags its handler reads, the only ones its parser accepts
+_FLAGS: dict[str, tuple[Flag, ...]] = {}
 # Published verb table: verb path -> the library operations it reaches.
 VERB_TABLE: dict[str, tuple[str, ...]] = {}
 
 
-def _verb(path: str, *reaches: Callable):
-    """Register the decorated handler for `path`; `reaches` are the library
-    functions it calls, published in VERB_TABLE as "module.func"."""
+def _verb(path: str, *reaches: Callable, flags: tuple[Flag, ...]):
+    """Register the decorated handler for `path` with the `flags` it reads;
+    `reaches` are the library functions it calls, published in VERB_TABLE
+    as "module.func"."""
 
     def register(handler):
         _HANDLERS[path] = handler
+        _FLAGS[path] = flags
         VERB_TABLE[path] = tuple(
             f"{f.__module__.rpartition('.')[2]}.{f.__name__}" for f in reaches
         )
@@ -167,7 +174,49 @@ def _verb(path: str, *reaches: Callable):
     return register
 
 
-@_verb("eps", numerics.epsilon, numerics.min_k_for, numerics.binom)
+class _OutOfRange(Exception):
+    """A count outside its range.  Not a ValueError, so argparse lets it
+    through to dispatch, which reports it as a usage error on stdout."""
+
+
+def _flag(*names: str, ceiling: int | None = None, **kwargs) -> Flag:
+    """A flag declaration; a `ceiling` makes it a count in 0..ceiling."""
+    if ceiling is not None:
+
+        def count(text: str) -> int:
+            if not 0 <= int(text) <= ceiling:
+                raise _OutOfRange(f"{names[0]} must be in 0..{ceiling}, got {text}")
+            return int(text)
+
+        kwargs["type"] = count
+    return names, kwargs
+
+
+# Flags that several paths read.  A count's ceiling keeps one call near a
+# second (timed on a 2-core Xeon VM, Python 3.11); the work grows steeply
+# past it, so a value above the ceiling exits 2.
+PAYLOAD = (_flag("--file"), _flag("--json"))
+FORMAT = _flag("--format", choices=("json", "tsv"), default="json")
+KPRIME = _flag("--kprime", type=int, default=1)
+EPS = _flag("--eps")
+MAX_ROUNDS = 6  # cover schedule --eps 1/2: 0.4 s at --m 6, 8 s at --m 7
+ROUNDS = _flag("--m", ceiling=MAX_ROUNDS)
+C1_C2 = (_flag("--c1"), _flag("--c2"))
+COVER_ARGS = (_flag("-b", action="append", default=[]), _flag("--against"),
+              _flag("--k", type=int, default=0))
+DEPTH = _flag("--depth", type=int, default=3)
+SOFT_M = _flag("--m", type=int, default=0)
+DIAG_M = _flag("--m", type=int, default=1)
+V = _flag("--v", type=int, default=2)
+VARIANT = _flag("--variant", choices=("2.5", "2.6"), default="2.5")
+
+MAX_KPRIME = 256  # eps --bound 1/16: 0.5 s at --kprime 256, 6 s at 512
+MAX_K = 4096  # eps --k 4096 --kprime 256: 0.2 s
+
+
+@_verb("eps", numerics.epsilon, numerics.min_k_for, numerics.binom, flags=(
+    _flag("--k", ceiling=MAX_K), _flag("--kprime", ceiling=MAX_KPRIME),
+    _flag("--bound"), _flag("--binom", type=int, nargs=2, metavar=("N", "J"))))
 def _eps(args) -> int:
     if args.binom:
         n, j = args.binom
@@ -184,7 +233,7 @@ def _eps(args) -> int:
     return 0
 
 
-@_verb("cover halve", coverlemmas.halve_once)
+@_verb("cover halve", coverlemmas.halve_once, flags=(*PAYLOAD, KPRIME))
 def _cover_halve(args) -> int:
     fam = _weight_family_from_json(_load_payload(args))
     z = coverlemmas.halve_once(fam, args.kprime)
@@ -192,7 +241,7 @@ def _cover_halve(args) -> int:
     return 0
 
 
-@_verb("cover goodness", coverlemmas.split_goodness)
+@_verb("cover goodness", coverlemmas.split_goodness, flags=(*PAYLOAD, KPRIME))
 def _cover_goodness(args) -> int:
     obj = _load_payload(args)
     level = int(obj["level"])
@@ -202,7 +251,7 @@ def _cover_goodness(args) -> int:
     return 0
 
 
-@_verb("cover schedule", coverlemmas.schedule)
+@_verb("cover schedule", coverlemmas.schedule, flags=(EPS, ROUNDS, FORMAT))
 def _cover_schedule(args) -> int:
     ks = coverlemmas.schedule(rational(args.eps), args.m)
     if args.format == "tsv":
@@ -212,7 +261,7 @@ def _cover_schedule(args) -> int:
     return 0
 
 
-@_verb("cover shrink", coverlemmas.shrink)
+@_verb("cover shrink", coverlemmas.shrink, flags=(*PAYLOAD, EPS, ROUNDS))
 def _cover_shrink(args) -> int:
     fam = _weight_family_from_json(_load_payload(args))
     z = coverlemmas.shrink(fam, rational(args.eps), args.m)
@@ -228,19 +277,20 @@ def _cover_shrink(args) -> int:
     return 0
 
 
-@_verb("pforce leq", perfectposet.p_leq)
+@_verb("pforce leq", perfectposet.p_leq, flags=C1_C2)
 def _pforce_leq(args) -> int:
     _emit_json(perfectposet.p_leq(*_c1_c2(args)))
     return 0
 
 
-@_verb("pforce compat", perfectposet.p_compatible)
+@_verb("pforce compat", perfectposet.p_compatible, flags=C1_C2)
 def _pforce_compat(args) -> int:
     _emit_json(perfectposet.p_compatible(*_c1_c2(args)))
     return 0
 
 
-@_verb("pforce cover", perfectposet.main_cover, perfectposet.iterate_cover)
+@_verb("pforce cover", perfectposet.main_cover, perfectposet.iterate_cover,
+       flags=COVER_ARGS)
 def _pforce_cover(args) -> int:
     ps = [parse_pcondition(text) for text in args.b]
     if args.against is not None and len(ps) == 1:
@@ -253,7 +303,12 @@ def _pforce_cover(args) -> int:
     return 0
 
 
-@_verb("pforce oracle-check", perfectposet.cover_oracle, perfectposet.compat_oracle)
+MAX_SAMPLES = 40_000  # 1.4 s at --depth 3, 2 s at --depth 4
+
+
+@_verb("pforce oracle-check", perfectposet.cover_oracle, perfectposet.compat_oracle,
+       flags=(*COVER_ARGS, _flag("--samples", ceiling=MAX_SAMPLES, default=0),
+              _flag("--seed", type=int, default=0), DEPTH))
 def _pforce_oracle_check(args) -> int:
     if args.samples:
         rng = random.Random(args.seed)
@@ -273,10 +328,11 @@ def _pforce_oracle_check(args) -> int:
                 disagreements += 1
         _emit_json({"samples": args.samples, "disagreements": disagreements})
         return 0 if disagreements == 0 else 1
-    b = parse_pcondition(args.b[0]) if args.b else None
-    if b is None or args.against is None:
+    if not args.b or args.against is None:
         raise ValueError("oracle-check needs -b and --against (or --samples)")
-    c = parse_pcondition(args.against)
+    if len(args.b) > 1:
+        raise ValueError("--against only pairs with a single -b condition")
+    b, c = parse_pcondition(args.b[0]), parse_pcondition(args.against)
     agree = perfectposet.p_compatible(b, c) == perfectposet.compat_oracle(b, c)
     members = perfectposet.main_cover(b, c, args.k)
     report = perfectposet.cover_oracle(b, c, args.k, members)
@@ -292,15 +348,19 @@ def _pforce_oracle_check(args) -> int:
     return 0 if (agree and report.ok) else 1
 
 
-@_verb("soft height", soft.check_height)
+@_verb("soft height", soft.check_height, flags=PAYLOAD)
 def _soft_height(args) -> int:
     poset, heights = _poset_from_json(_load_payload(args))
     _emit_json(soft.check_height(poset, heights))
     return 0
 
 
-@_verb("soft cover", soft.find_cover, soft.verify_cover)
+@_verb("soft cover", soft.find_cover, soft.verify_cover, flags=(
+    *PAYLOAD, _flag("--ps", nargs="*", default=[]), _flag("--qs", nargs="*"), SOFT_M,
+    _flag("--strong", action="store_true")))
 def _soft_cover(args) -> int:
+    if args.strong and args.qs is None:
+        raise ValueError("--strong needs --qs: the cover search is weak only")
     poset, heights = _poset_from_json(_load_payload(args))
     if args.qs is not None:
         ok = soft.verify_cover(
@@ -312,14 +372,15 @@ def _soft_cover(args) -> int:
     return 0
 
 
-@_verb("soft star", soft.star_witness)
+@_verb("soft star", soft.star_witness,
+       flags=(*PAYLOAD, _flag("--antichain", nargs="*", default=[]), SOFT_M))
 def _soft_star(args) -> int:
     poset, heights = _poset_from_json(_load_payload(args))
     print(soft.star_witness(poset, heights, args.antichain, args.m))
     return 0
 
 
-@_verb("soft escape", soft.escape_function)
+@_verb("soft escape", soft.escape_function, flags=PAYLOAD)
 def _soft_escape(args) -> int:
     obj = _load_payload(args)
     poset, heights = _poset_from_json(obj)
@@ -340,7 +401,8 @@ def _soft_escape(args) -> int:
     return 0 if report.ok else 1
 
 
-@_verb("soft product", soft.product_cover, soft.product_height_step)
+@_verb("soft product", soft.product_cover, soft.product_height_step,
+       flags=(*PAYLOAD, SOFT_M))
 def _soft_product(args) -> int:
     obj = _load_payload(args)
     pq, gq = _poset_from_json(obj["first"])
@@ -358,14 +420,15 @@ def _soft_product(args) -> int:
     return 0 if ok else 1
 
 
-@_verb("diag build", diagonal.build_chain)
+@_verb("diag build", diagonal.build_chain,
+       flags=(DIAG_M, _flag("--granularity", type=int, default=2), V, DEPTH))
 def _diag_build(args) -> int:
     chain = diagonal.build_chain(args.m, args.granularity, args.v, args.depth)
     _emit_json(_chain_to_json(chain))
     return 0
 
 
-@_verb("diag verify", diagonal.verify_chain)
+@_verb("diag verify", diagonal.verify_chain, flags=(*PAYLOAD, V))
 def _diag_verify(args) -> int:
     chain = _chain_from_json(_load_payload(args))
     report = diagonal.verify_chain(chain, args.v)
@@ -380,14 +443,15 @@ def _diag_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-@_verb("diag zeta", diagonal.zeta)
+@_verb("diag zeta", diagonal.zeta,
+       flags=(*PAYLOAD, _flag("--l", type=int, default=0), VARIANT))
 def _diag_zeta(args) -> int:
     ps = _schedule_from_json(_load_payload(args))
     print(rational_str(diagonal.zeta(ps, args.l, args.variant)))
     return 0
 
 
-@_verb("diag validate", diagonal.validate_params)
+@_verb("diag validate", diagonal.validate_params, flags=(*PAYLOAD, VARIANT, FORMAT))
 def _diag_validate(args) -> int:
     ps = _schedule_from_json(_load_payload(args))
     report = diagonal.validate_params(ps, args.variant)
@@ -404,14 +468,14 @@ def _diag_validate(args) -> int:
     return 0 if report.ok else 1
 
 
-@_verb("diag search", diagonal.find_params)
+@_verb("diag search", diagonal.find_params, flags=(DIAG_M,))
 def _diag_search(args) -> int:
     ps = diagonal.find_params(args.m)
     _emit_json(_schedule_to_json(ps))
     return 0
 
 
-@_verb("ncov budget", nullcover.budget)
+@_verb("ncov budget", nullcover.budget, flags=(*PAYLOAD, FORMAT))
 def _ncov_budget(args) -> int:
     cover = _cover_from_json(_load_payload(args))
     report = nullcover.budget(cover)
@@ -431,14 +495,17 @@ def _ncov_budget(args) -> int:
     return 0 if report.ok else 1
 
 
-@_verb("ncov measure", nullcover.union_measure)
+@_verb("ncov measure", nullcover.union_measure,
+       flags=(*PAYLOAD, _flag("--indices", type=int, nargs="*", default=[])))
 def _ncov_measure(args) -> int:
     cover = _cover_from_json(_load_payload(args))
     print(rational_str(nullcover.union_measure(cover, args.indices)))
     return 0
 
 
-@_verb("ncov sparse", nullcover.select_sparse)
+@_verb("ncov sparse", nullcover.select_sparse, flags=(
+    *PAYLOAD, _flag("--points", type=int, nargs="*", default=[]),
+    _flag("--count", type=int)))
 def _ncov_sparse(args) -> int:
     part_objs = _load_payload(args)
     parts = [_partition_from_json(p) for p in part_objs]
@@ -447,14 +514,18 @@ def _ncov_sparse(args) -> int:
     return 0
 
 
-@_verb("ncov kn", nullcover.kn_set)
+@_verb("ncov kn", nullcover.kn_set, flags=(
+    _flag("--traps", nargs="*", default=[]), _flag("--lo", type=int, default=0),
+    _flag("--hi", type=int, default=1), _flag("--i", type=int, default=0)))
 def _ncov_kn(args) -> int:
     out = nullcover.kn_set(args.traps, (args.lo, args.hi), args.i)
     _emit_json(sorted(out))
     return 0
 
 
-@_verb("ncov tree", nullcover.block_tree_branches)
+@_verb("ncov tree", nullcover.block_tree_branches, flags=(
+    _flag("--r", default=""), _flag("--d", type=int, nargs="*", default=[0]),
+    _flag("--level", type=int, default=0)))
 def _ncov_tree(args) -> int:
     tree = nullcover.BlockTree(args.r, tuple(args.d), args.level)
     branches = nullcover.block_tree_branches(tree)
@@ -462,7 +533,7 @@ def _ncov_tree(args) -> int:
     return 0
 
 
-@_verb("ncov avoid", nullcover.avoidance_check)
+@_verb("ncov avoid", nullcover.avoidance_check, flags=PAYLOAD)
 def _ncov_avoid(args) -> int:
     obj = _load_payload(args)
     tree = nullcover.BlockTree(obj["r"], tuple(obj["d"]), int(obj["depth"]))
@@ -487,92 +558,36 @@ def _ncov_avoid(args) -> int:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: its verbs and their action
-    choices are read from the registry, in registration order."""
+    """The parser, built once per process from the registry, in registration
+    order: a sub-parser per verb and, under it, one per action, each holding
+    only the flags its path declares."""
     parser = argparse.ArgumentParser(prog="clopenforce")
-    parser.add_argument("--format", choices=("auto", "json", "tsv"), default="auto")
-    parser.add_argument("--depth", type=int, default=3, help="global resolution depth")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled modes")
-    # the same flags are accepted after the verb as well
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("auto", "json", "tsv"), default=argparse.SUPPRESS
-    )
-    common.add_argument("--depth", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    payload = argparse.ArgumentParser(add_help=False)
-    payload.add_argument("--file")
-    payload.add_argument("--json")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def verb(name: str, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common, *parents])
-        actions = [path.split()[1] for path in _HANDLERS if path.startswith(name + " ")]
-        if actions:
-            p.add_argument("action", choices=actions)
-        return p
-
-    eps = verb("eps")
-    eps.add_argument("--k", type=int)
-    eps.add_argument("--kprime", type=int)
-    eps.add_argument("--bound", type=str)
-    eps.add_argument("--binom", type=int, nargs=2, metavar=("N", "J"))
-
-    cover = verb("cover", payload)
-    cover.add_argument("--kprime", type=int, default=1)
-    cover.add_argument("--eps", type=str)
-    cover.add_argument("--m", type=int)
-
-    pforce = verb("pforce")
-    pforce.add_argument("--c1")
-    pforce.add_argument("--c2")
-    pforce.add_argument("-b", action="append", default=[])
-    pforce.add_argument("--against")
-    pforce.add_argument("--k", type=int, default=0)
-    pforce.add_argument("--samples", type=int, default=0)
-
-    softp = verb("soft", payload)
-    softp.add_argument("--ps", nargs="*", default=[])
-    softp.add_argument("--qs", nargs="*", default=None)
-    softp.add_argument("--antichain", nargs="*", default=[])
-    softp.add_argument("--m", type=int, default=0)
-    softp.add_argument("--strong", action="store_true")
-
-    diag = verb("diag", payload)
-    diag.add_argument("--m", type=int, default=1)
-    diag.add_argument("--granularity", type=int, default=2)
-    diag.add_argument("--v", type=int, default=2)
-    diag.add_argument("--l", type=int, default=0)
-    diag.add_argument("--variant", choices=("2.5", "2.6"), default="2.5")
-
-    ncov = verb("ncov", payload)
-    ncov.add_argument("--indices", type=int, nargs="*", default=[])
-    ncov.add_argument("--points", type=int, nargs="*", default=[])
-    ncov.add_argument("--count", type=int, default=None)
-    ncov.add_argument("--traps", nargs="*", default=[])
-    ncov.add_argument("--lo", type=int, default=0)
-    ncov.add_argument("--hi", type=int, default=1)
-    ncov.add_argument("--i", type=int, default=0)
-    ncov.add_argument("--r", default="")
-    ncov.add_argument("--d", type=int, nargs="*", default=[0])
-    ncov.add_argument("--level", type=int, default=0)
-
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    actions: dict[str, argparse._SubParsersAction] = {}
+    for path, flags in _FLAGS.items():
+        verb, _, action = path.partition(" ")
+        if action and verb not in actions:
+            sub = verbs.add_parser(verb)
+            actions[verb] = sub.add_subparsers(dest="action", required=True)
+        sub = actions[verb].add_parser(action) if action else verbs.add_parser(verb)
+        for names, kwargs in flags:
+            sub.add_argument(*names, **kwargs)
     return parser
 
 
 def dispatch(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    handler = _HANDLERS[f"{args.verb} {getattr(args, 'action', '')}".rstrip()]
-    try:
+        handler = _HANDLERS[f"{args.verb} {getattr(args, 'action', '')}".rstrip()]
         return handler(args)
+    except SystemExit as exc:  # argparse: -h, or an error reported on stderr
+        return 2 if exc.code not in (0, None) else 0
     except ConstructionError as exc:
         print(f"{exc.kind}: {exc}")
         return 1
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        # malformed payloads: a missing JSON key, a wrong JSON type, no such file
+    except (_OutOfRange, ValueError, KeyError, TypeError, OSError) as exc:
+        # malformed payloads (a missing JSON key, a wrong JSON type, no such
+        # file) and counts above their ceilings
         print(f"usage-error: {exc}")
         return 2
 

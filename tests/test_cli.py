@@ -9,6 +9,7 @@ from pathlib import Path
 
 from clopenforce import cli
 from clopenforce.cli import VERB_TABLE, dispatch
+from clopenforce.errors import ConstructionError
 
 
 def run(capsys, *argv):
@@ -39,9 +40,10 @@ TOP = "(d=2:{00,01,10,11}, n=0)"
 
 
 def pinned_calls() -> list[list[str]]:
-    """Every verb path with a valid payload, the tsv renderings, the global
-    flags before and after the verb, exit-1 cases and usage errors; files
-    are read from the working directory (see `write_pinned_files`)."""
+    """Every verb path with a valid payload, the tsv renderings, flags
+    misplaced before the verb, exit-1 cases and usage errors, counts above
+    their ceilings among them; files are read from the working directory
+    (see `write_pinned_files`)."""
     j = json.dumps
     return [
         ["eps", "--k", "3", "--kprime", "1"],
@@ -50,12 +52,16 @@ def pinned_calls() -> list[list[str]]:
         ["eps", "--k", "3", "--kprime", "9"],
         ["eps"],
         ["eps", "--kprime", "2", "--bound", "0"],
+        ["eps", "--k", "4097", "--kprime", "1"],
+        ["eps", "--kprime", "257", "--bound", "1/16"],
         ["cover", "halve", "--json", j(FAMILY), "--kprime", "1"],
         ["cover", "goodness", "--kprime", "1", "--json",
          j({"level": 2, "Z": ["00", "01", "10", "11"], "T": ["00", "01"]})],
         ["cover", "schedule", "--eps", "1/2", "--m", "2"],
         ["--format", "tsv", "cover", "schedule", "--eps", "1/3", "--m", "3"],
         ["cover", "schedule", "--eps", "1/2", "--m", "2", "--format", "tsv"],
+        ["cover", "schedule", "--eps", "1/2", "--m", "2", "--format", "auto"],
+        ["cover", "schedule", "--eps", "1/2", "--m", "7"],
         ["cover", "shrink", "--eps", "1/2", "--m", "1", "--json", j(dict(FAMILY, k=3))],
         ["cover", "shrink", "--eps", "1/2", "--m", "2", "--json", j(dict(FAMILY, k=3))],
         ["cover", "nonsense"],
@@ -71,6 +77,9 @@ def pinned_calls() -> list[list[str]]:
         ["--seed", "5", "pforce", "oracle-check", "--samples", "30", "--depth", "2"],
         ["--depth", "2", "pforce", "oracle-check", "--samples", "30", "--seed", "5"],
         ["pforce", "oracle-check"],
+        ["pforce", "oracle-check", "--samples", "-5"],
+        ["pforce", "oracle-check", "-b", B, "-b", "(d=2:{00,10}, n=2)",
+         "--against", TOP, "--k", "2"],
         ["soft", "height", "--json", j(POSET)],
         ["soft", "height", "--json", j(dict(CHAIN, height={"a": 0, "b": 1, "top": 0}))],
         ["soft", "cover", "--ps", "a", "--m", "1", "--json", j(POSET)],
@@ -78,6 +87,7 @@ def pinned_calls() -> list[list[str]]:
         ["soft", "cover", "--ps", "a", "--qs", "b", "--m", "1", "--strong",
          "--json", j(CHAIN)],
         ["soft", "cover", "--ps", "b", "--qs", "--m", "0", "--json", j(CHAIN)],
+        ["soft", "cover", "--ps", "a", "--m", "1", "--strong", "--json", j(POSET)],
         ["soft", "star", "--antichain", "a", "b", "--m", "0", "--json", j(POSET)],
         ["soft", "star", "--antichain", "a", "--m", "1", "--json", j(CHAIN)],
         ["soft", "escape", "--json",
@@ -187,6 +197,8 @@ def test_usage_errors(capsys):
         ("pforce", "leq", "--c1", B),
         ("soft", "product", "--json", json.dumps(dict(product, pairs=[["top"]]))),
         ("diag", "verify", "--v", "0", "--json", json.dumps(CHAIN_D2)),
+        ("pforce", "oracle-check", "-b", B, "-b", B, "--against", TOP),
+        ("soft", "cover", "--json", json.dumps(POSET), "--ps", "a", "--strong"),
     ):
         code, out = run(capsys, *argv)
         assert code == 2 and out.startswith("usage-error:"), argv
@@ -383,30 +395,76 @@ def test_verb_table_reaches_each_operation_once():
 
 def test_cli_bytes_pinned(tmp_path, monkeypatch, capsys):
     # sha256 over (argv, exit code, stdout) of `pinned_calls` and over
-    # VERB_TABLE, pinned from the hand-written dispatch and table that the
-    # verb registry replaced: the registry keeps every byte
+    # VERB_TABLE.  Each row keeps the bytes of the hand-written dispatch the
+    # verb registry replaced, except those that now exit 2: a flag before
+    # the verb, --format auto, a count above its ceiling, oracle-check with
+    # several -b, soft cover --strong without --qs
     write_pinned_files(tmp_path)
     monkeypatch.chdir(tmp_path)
     rows = [[argv, *run(capsys, *argv)] for argv in pinned_calls()]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    assert digest == "fbdd3889afd377b6cc839d23264e39230c251a78aaac6265693c8dcebb337d9b"
+    assert digest == "79b0e9c3ca7b466e2a176398a4c8079a1f5e92e162f2f84c510e9f8a6bbcce37"
     table = json.dumps(list(VERB_TABLE.items())).encode()
     assert hashlib.sha256(table).hexdigest() == (
         "efa8c0e259914941b7995356dd1219e31bfbc8c55d591705758a5bd70738bfb7"
     )
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> dict | None:
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), None)
+
+
+def path_parsers() -> dict[str, argparse.ArgumentParser]:
+    """Verb path -> its parser, walked from the CLI parser."""
+    paths = {}
+    for verb, sub in _subparsers(cli._parser()).items():
+        actions = _subparsers(sub)
+        if actions is None:
+            paths[verb] = sub
+        else:
+            paths.update((f"{verb} {action}", p) for action, p in actions.items())
+    return paths
+
+
 def test_parser_accepts_exactly_the_registry_paths():
     parser = cli._parser()
-    verbs = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    ).choices
-    accepted = []
-    for verb, sub in verbs.items():
-        actions = [a.choices for a in sub._actions if a.dest == "action"]
-        accepted += [f"{verb} {action}" for action in actions[0]] if actions else [verb]
-    assert accepted == list(cli._HANDLERS) == list(VERB_TABLE)
+    assert list(path_parsers()) == list(cli._HANDLERS) == list(VERB_TABLE)
+    assert [a.dest for a in parser._actions] == ["help", "verb"]  # no root flags
     assert cli._parser() is parser  # built once per process
+
+
+def test_each_path_accepts_exactly_the_flags_its_handler_reads(
+        tmp_path, monkeypatch, capsys):
+    # every pinned call that parses runs through its handler on a namespace
+    # that records the attributes read; summed over a path's pinned calls,
+    # the flags read are the flags that path's parser accepts
+    write_pinned_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    seen = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            seen.add(name)
+            return super().__getattribute__(name)
+
+    parsers = path_parsers()
+    read = {path: set() for path in parsers}
+    for argv in pinned_calls():
+        try:
+            args = cli._parser().parse_args(argv)
+        except (SystemExit, cli._OutOfRange):
+            continue
+        path = f"{args.verb} {getattr(args, 'action', '')}".rstrip()
+        seen.clear()
+        try:
+            cli._HANDLERS[path](Recording(**vars(args)))
+        except (ConstructionError, ValueError, KeyError, TypeError, OSError):
+            pass
+        read[path] |= seen - {"verb", "action"}
+    capsys.readouterr()
+    for path, parser in parsers.items():
+        assert read[path] == {a.dest for a in parser._actions} - {"help"}, path
 
 
 HUGE = 2**64
@@ -414,10 +472,6 @@ BAD_JSON = (None, True, 1.5, "x", "", "1/0", "one", "0a", "2", [], {}, [[]], ["0
             {"a": 1}, -1, -3, HUGE)
 BAD_FLAGS = ("-1", "0", "x", "", "1/0", "one", "0a", str(HUGE), "(d=2:{0a}, n=1)",
              "(d=2:{}, n=0)", "(d=9, n=1)", "(d=2:{00}, n=5)", "d=2:{00}")
-# Counts the CLI does not bound: a huge count asks for that many rounds or
-# samples, so HUGE is not tried there (negative values are).  Depths and
-# levels are bounded by cantor.MAX_DEPTH and do get HUGE.
-UNBOUNDED = {"--k", "--kprime", "--m", "--samples"}
 
 
 def _slots(obj, path=()):
@@ -444,8 +498,7 @@ def _malformed(rng, argv):
         if isinstance(holder, dict) and rng.random() < 0.3:
             del holder[path[-1]]
         else:
-            holder[path[-1]] = rng.choice(
-                [v for v in BAD_JSON if v != HUGE or path[-1] not in UNBOUNDED])
+            holder[path[-1]] = rng.choice(BAD_JSON)
         argv[at] = json.dumps(obj)
         return argv
     if "--json" in argv and rng.random() < 0.2:
@@ -454,8 +507,7 @@ def _malformed(rng, argv):
     at = rng.choice([i for i, a in enumerate(argv[:-1]) if a.startswith("-")])
     if rng.random() < 0.2:
         return argv[:at] + argv[at + 2:]
-    argv[at + 1] = rng.choice(
-        [v for v in BAD_FLAGS if v != str(HUGE) or argv[at] not in UNBOUNDED])
+    argv[at + 1] = rng.choice(BAD_FLAGS)
     return argv
 
 
@@ -476,10 +528,18 @@ def test_malformed_input_never_escapes(tmp_path, monkeypatch):
 
 
 def test_oversized_depths_exit_2(capsys):
-    # a depth or level above cantor.MAX_DEPTH is a usage error, raised before
-    # any mask of 2^depth bits is built
+    # a depth or level above cantor.MAX_DEPTH, or a count above its ceiling,
+    # is a usage error, raised before any mask of 2^depth bits is built or
+    # any round run
     huge = str(HUGE)
     for argv in (
+        ("eps", "--k", str(cli.MAX_K + 1), "--kprime", "1"),
+        ("eps", "--kprime", str(cli.MAX_KPRIME + 1), "--bound", "1/16"),
+        ("eps", "--k", huge, "--kprime", huge),
+        ("cover", "schedule", "--eps", "1/2", "--m", str(cli.MAX_ROUNDS + 1)),
+        ("cover", "shrink", "--eps", "1/2", "--m", huge, "--json", json.dumps(FAMILY)),
+        ("pforce", "oracle-check", "--samples", str(cli.MAX_SAMPLES + 1)),
+        ("pforce", "oracle-check", "--samples", "-5"),
         ("pforce", "oracle-check", "--samples", "4", "--depth", "40"),
         ("pforce", "oracle-check", "--samples", "4", "--depth", huge),
         ("diag", "build", "--m", "1", "--granularity", "2", "--v", "3", "--depth", "40"),
@@ -489,6 +549,16 @@ def test_oversized_depths_exit_2(capsys):
     ):
         code, out = run(capsys, *argv)
         assert code == 2 and out.startswith("usage-error:"), argv
+    # each count is accepted at its ceiling
+    for path, flag, ceiling in (
+        ("eps", "--k", cli.MAX_K),
+        ("eps", "--kprime", cli.MAX_KPRIME),
+        ("cover schedule", "--m", cli.MAX_ROUNDS),
+        ("cover shrink", "--m", cli.MAX_ROUNDS),
+        ("pforce oracle-check", "--samples", cli.MAX_SAMPLES),
+    ):
+        args = cli._parser().parse_args([*path.split(), flag, str(ceiling)])
+        assert getattr(args, flag[2:]) == ceiling
     # a huge granularity within a small depth is the depth check's failure
     argv = ("diag", "build", "--m", "1", "--granularity", huge, "--v", "3", "--depth", "2")
     code, out = run(capsys, *argv)
