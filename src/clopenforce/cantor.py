@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "check_depth",
     "complement",
     "cyl_mask",
-    "cyl_table",
     "cylinder_meet",
     "dense_mask",
     "density_ok",
@@ -92,12 +90,6 @@ def positions(mask: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def cyl_table(depth: int, level: int) -> tuple[int, ...]:
-    """Depth-level leaf masks of all cylinders at `level`, by node index."""
-    return tuple(cyl_mask(depth, level, j) for j in range(1 << level))
-
-
 def _projection_table(depth: int, level: int) -> bytes:
     """levelset_mask(x, depth, level) for every mask x at `depth`, built by
     the subset recurrence: x's projection is that of x without its lowest
@@ -150,12 +142,13 @@ def dense_mask(mask: int, depth: int, level: int) -> bool:
     i.e. measure at least 2^-(level+1).  True from level = depth on."""
     if level >= depth:
         return True
+    shift = depth - level
+    block = (1 << (1 << shift)) - 1
+    need = 1 << (shift - 1)
     lv = levelset_mask(mask, depth, level)
-    need = 1 << (depth - level - 1)
-    cyls = cyl_table(depth, level)
     while lv:
         low = lv & -lv
-        if (mask & cyls[low.bit_length() - 1]).bit_count() < need:
+        if (mask >> (low.bit_length() - 1 << shift) & block).bit_count() < need:
             return False
         lv ^= low
     return True
@@ -168,11 +161,8 @@ def lift_mask(mask: int, level_from: int, level_to: int) -> int:
     width = 1 << (level_to - level_from)
     block = (1 << width) - 1
     out = 0
-    m = mask
-    while m:
-        low = m & -m
-        out |= block << ((low.bit_length() - 1) * width)
-        m ^= low
+    for j in positions(mask):
+        out |= block << (j * width)
     return out
 
 
@@ -198,11 +188,7 @@ class LevelSet:
         return cls(level, mask)
 
     def nodes(self) -> tuple[str, ...]:
-        return tuple(
-            node_bits(i, self.level)
-            for i in range(1 << self.level)
-            if self.mask >> i & 1
-        )
+        return tuple(node_bits(i, self.level) for i in positions(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -221,16 +207,8 @@ class ClopenSet:
         if not 0 <= self.mask < (1 << (1 << self.depth)):
             raise ValueError("mask out of range for depth")
 
-    @classmethod
-    def from_nodes(cls, nodes: Iterable[str], depth: int) -> "ClopenSet":
-        return canonicalize(nodes, depth)
-
     def nodes(self) -> tuple[str, ...]:
-        return tuple(
-            node_bits(i, self.depth)
-            for i in range(1 << self.depth)
-            if self.mask >> i & 1
-        )
+        return tuple(node_bits(i, self.depth) for i in positions(self.mask))
 
     def at_depth(self, depth: int) -> "ClopenSet":
         """The same set re-expressed at a finer resolution."""

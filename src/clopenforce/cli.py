@@ -14,6 +14,7 @@ import functools
 import json
 import random
 import sys
+from fractions import Fraction
 from typing import Callable
 
 from . import (
@@ -199,24 +200,34 @@ PAYLOAD = (_flag("--file"), _flag("--json"))
 FORMAT = _flag("--format", choices=("json", "tsv"), default="json")
 KPRIME = _flag("--kprime", type=int, default=1)
 EPS = _flag("--eps")
-MAX_ROUNDS = 6  # cover schedule --eps 1/2: 0.4 s at --m 6, 8 s at --m 7
+MIN_EPS = Fraction(1, 10**6)  # cover schedule --m 6: 0.5 s; 18 s at --eps 2^-64
+MAX_ROUNDS = 6  # cover schedule --eps 1/10^6: 0.5 s at --m 6, 3.7 s at --m 7
 ROUNDS = _flag("--m", ceiling=MAX_ROUNDS)
 C1_C2 = (_flag("--c1"), _flag("--c2"))
 COVER_ARGS = (_flag("-b", action="append", default=[]), _flag("--against"),
               _flag("--k", type=int, default=0))
-DEPTH = _flag("--depth", type=int, default=3)
 SOFT_M = _flag("--m", type=int, default=0)
 DIAG_M = _flag("--m", type=int, default=1)
 V = _flag("--v", type=int, default=2)
 VARIANT = _flag("--variant", choices=("2.5", "2.6"), default="2.5")
 
-MAX_KPRIME = 256  # eps --bound 1/16: 0.5 s at --kprime 256, 6 s at 512
+MAX_KPRIME = 256  # eps --bound 1/10^6: 0.15 s at --kprime 256
 MAX_K = 4096  # eps --k 4096 --kprime 256: 0.2 s
+MAX_BINOM = 10_000  # C(10000, 5000) has 3,009 digits; str() stops at 4,300
+
+
+def _budget(text: str) -> Fraction:
+    """--eps or --bound; the library rejects the non-positive ones."""
+    value = rational(text)
+    if 0 < value < MIN_EPS:
+        raise ValueError(f"{text} is below the floor {MIN_EPS}")
+    return value
 
 
 @_verb("eps", numerics.epsilon, numerics.min_k_for, numerics.binom, flags=(
     _flag("--k", ceiling=MAX_K), _flag("--kprime", ceiling=MAX_KPRIME),
-    _flag("--bound"), _flag("--binom", type=int, nargs=2, metavar=("N", "J"))))
+    _flag("--bound"),
+    _flag("--binom", ceiling=MAX_BINOM, nargs=2, metavar=("N", "J"))))
 def _eps(args) -> int:
     if args.binom:
         n, j = args.binom
@@ -225,7 +236,7 @@ def _eps(args) -> int:
     if args.bound is not None:
         if args.kprime is None:
             raise ValueError("min-k mode needs --kprime")
-        print(numerics.min_k_for(args.kprime, rational(args.bound)))
+        print(numerics.min_k_for(args.kprime, _budget(args.bound)))
         return 0
     if args.k is None or args.kprime is None:
         raise ValueError("eps needs --k and --kprime (or --bound / --binom)")
@@ -253,7 +264,7 @@ def _cover_goodness(args) -> int:
 
 @_verb("cover schedule", coverlemmas.schedule, flags=(EPS, ROUNDS, FORMAT))
 def _cover_schedule(args) -> int:
-    ks = coverlemmas.schedule(rational(args.eps), args.m)
+    ks = coverlemmas.schedule(_budget(args.eps), args.m)
     if args.format == "tsv":
         _emit([f"{i}\t{k}" for i, k in enumerate(ks)])
     else:
@@ -264,7 +275,7 @@ def _cover_schedule(args) -> int:
 @_verb("cover shrink", coverlemmas.shrink, flags=(*PAYLOAD, EPS, ROUNDS))
 def _cover_shrink(args) -> int:
     fam = _weight_family_from_json(_load_payload(args))
-    z = coverlemmas.shrink(fam, rational(args.eps), args.m)
+    z = coverlemmas.shrink(fam, _budget(args.eps), args.m)
     hit = coverlemmas.hit_weight(fam, z.mask, 1)
     _emit_json(
         {
@@ -303,16 +314,18 @@ def _pforce_cover(args) -> int:
     return 0
 
 
-MAX_SAMPLES = 40_000  # 1.4 s at --depth 3, 2 s at --depth 4
+MAX_SAMPLES = 40_000  # 1.2 s at --depth 3, 2 s at --depth 4
+MAX_SAMPLE_DEPTH = 5  # --samples 40000: 2.1 s at --depth 5, 6.3 s at 12
 
 
 @_verb("pforce oracle-check", perfectposet.cover_oracle, perfectposet.compat_oracle,
        flags=(*COVER_ARGS, _flag("--samples", ceiling=MAX_SAMPLES, default=0),
-              _flag("--seed", type=int, default=0), DEPTH))
+              _flag("--seed", type=int, default=0),
+              _flag("--depth", ceiling=MAX_SAMPLE_DEPTH, default=3)))
 def _pforce_oracle_check(args) -> int:
     if args.samples:
         rng = random.Random(args.seed)
-        depth = cantor.check_depth(args.depth)
+        depth = args.depth
         disagreements = 0
         for _ in range(args.samples):
             conds = []
@@ -421,7 +434,8 @@ def _soft_product(args) -> int:
 
 
 @_verb("diag build", diagonal.build_chain,
-       flags=(DIAG_M, _flag("--granularity", type=int, default=2), V, DEPTH))
+       flags=(DIAG_M, _flag("--granularity", type=int, default=2), V,
+              _flag("--depth", type=int, default=3)))
 def _diag_build(args) -> int:
     chain = diagonal.build_chain(args.m, args.granularity, args.v, args.depth)
     _emit_json(_chain_to_json(chain))

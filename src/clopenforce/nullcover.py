@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cantor import LevelSet, lift_mask, node_bits
+from .cantor import LevelSet, lift_mask, node_bits, positions
 from .errors import SelectionExhausted
 
 __all__ = [
@@ -284,11 +284,7 @@ def avoidance_check(
     counterexamples: list[tuple[str, int]] = []
     hits = 0
     branch_mask = block_tree_branches(tree).mask
-    b = branch_mask
-    while b:
-        low = b & -b
-        branch = low.bit_length() - 1
-        b ^= low
+    for branch in positions(branch_mask):
         for pos, (idx, lo, hi) in enumerate(active):
             seg = (branch >> (tree.depth - hi)) & ((1 << (hi - lo)) - 1)
             if seg in traps_int[idx]:

@@ -58,7 +58,8 @@ def min_k_for(k_prime: int, bound: Fraction) -> int:
     """Least k > k' with epsilon(k, k') <= bound.
 
     Terminates for every positive bound: at fixed k' the tail sum is
-    polynomial in k while the 2^(1-k) factor decays.
+    polynomial in k while the 2^(1-k) factor decays.  Each candidate costs
+    O(1) big-int steps: S(k+1) = 2 S(k) - C(k, k'-1) for the tail sum.
     """
     if k_prime < 1:
         raise ValueError("k' must be positive")
@@ -66,6 +67,10 @@ def min_k_for(k_prime: int, bound: Fraction) -> int:
     if bound <= 0:
         raise ValueError("bound must be positive")
     k = k_prime + 1
-    while epsilon(k, k_prime) > bound:
+    tail = sum(binom(k, j) for j in range(k_prime))
+    edge = binom(k, k_prime - 1)
+    while 2 * tail * bound.denominator > bound.numerator << k:  # epsilon > bound
+        tail = 2 * tail - edge
+        edge = edge * (k + 1) // (k + 2 - k_prime)
         k += 1
     return k

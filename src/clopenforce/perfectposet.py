@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .cantor import (
     ClopenSet,
-    cyl_table,
+    cyl_mask,
     dense_mask,
     density_ok,
     full_set,
@@ -60,10 +60,6 @@ class PCondition:
     def depth(self) -> int:
         return self.B.depth
 
-    @property
-    def height(self) -> int:
-        return self.n
-
     def __str__(self) -> str:
         return f"({self.B}, n={self.n})"
 
@@ -104,15 +100,9 @@ def _compat_masks(am: int, an: int, bm: int, bn: int, depth: int) -> bool:
         am, an, bm, bn = bm, bn, am, an
     if levelset_mask(am, depth, bn) != levelset_mask(bm, depth, bn):
         return False
-    inter = am & bm
-    cyls = cyl_table(depth, an)
-    lv = levelset_mask(am, depth, an)
-    while lv:
-        low = lv & -lv
-        if inter & cyls[low.bit_length() - 1] == 0:
-            return False
-        lv ^= low
-    return True
+    # am & bm lies inside am, so its level-an trace is am's exactly when
+    # every committed node of am meets bm
+    return levelset_mask(am & bm, depth, an) == levelset_mask(am, depth, an)
 
 
 def p_compatible(c1: PCondition, c2: PCondition) -> bool:
@@ -158,15 +148,18 @@ def prune_to_dense(B: ClopenSet, n: int) -> PCondition:
         raise ValueError("level exceeds depth")
     depth = B.depth
     need = 1 << (depth - n - 1) if n < depth else 1
-    cyls = cyl_table(depth, n)
     thin = 0
     for j in positions(levelset_mask(B.mask, depth, n)):
-        if (B.mask & cyls[j]).bit_count() < need:
-            thin |= cyls[j]
+        cyl = cyl_mask(depth, n, j)
+        if (B.mask & cyl).bit_count() < need:
+            thin |= cyl
     mask = B.mask & ~thin
     if mask == 0:
         raise PruneFailed(f"no level-{n} node of {B} retains enough mass")
     return PCondition(ClopenSet(depth, mask), n)
+
+
+MAX_TABLE_NODES = 16  # 2^16 entries per table, the size depth 4 reaches
 
 
 def _subset_dp(mask: int, depth: int, level: int, proj_shifts: list[int]):
@@ -174,10 +167,14 @@ def _subset_dp(mask: int, depth: int, level: int, proj_shifts: list[int]):
 
     Returns (T, U, projs): T[x] is the chosen node set, U[x] the part of
     mask below it, and projs[i][x] the node set projected proj_shifts[i]
-    levels up.
+    levels up.  More than MAX_TABLE_NODES nodes is a ValueError.
     """
-    cyls = cyl_table(depth, level)
+    shift = depth - level
+    block = (1 << (1 << shift)) - 1
     pos = positions(levelset_mask(mask, depth, level))
+    if len(pos) > MAX_TABLE_NODES:
+        raise ValueError(f"{len(pos)} level-{level} nodes: subset tables "
+                         f"stop at {MAX_TABLE_NODES}")
     size = 1 << len(pos)
     T = [0] * size
     U = [0] * size
@@ -187,9 +184,9 @@ def _subset_dp(mask: int, depth: int, level: int, proj_shifts: list[int]):
         j = pos[low.bit_length() - 1]
         y = x ^ low
         T[x] = T[y] | (1 << j)
-        U[x] = U[y] | (mask & cyls[j])
-        for pi, shift in enumerate(proj_shifts):
-            projs[pi][x] = projs[pi][y] | (1 << (j >> shift))
+        U[x] = U[y] | (mask & block << (j << shift))
+        for pi, up in enumerate(proj_shifts):
+            projs[pi][x] = projs[pi][y] | (1 << (j >> up))
     return T, U, projs
 
 
@@ -231,7 +228,8 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
                 found.add((U[x], ell))
         # family B: the trace at s agrees; miss a committed node or cut it
         T, U, (pm, ps) = dp_fine
-        cyls = cyl_table(depth, fine)
+        shift = depth - fine
+        block = (1 << (1 << shift)) - 1
         for x in range(1, len(U)):
             if pm[x] != lv_c[m] or ps[x] != lv_b[s]:
                 continue
@@ -241,9 +239,10 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
                     found.add((U[x], ell))
                 continue
             for t in positions(committed):
-                special = cmask & cyls[t] & ~bmask
+                cyl = block << (t << shift)
+                special = cmask & cyl & ~bmask
                 if special:
-                    cand = (U[x] & ~cyls[t]) | special
+                    cand = (U[x] & ~cyl) | special
                     if dense_mask(cand, depth, ell):
                         found.add((cand, ell))
     return [

@@ -18,7 +18,6 @@ from clopenforce.cantor import (
     clopen_to_json,
     complement,
     cyl_mask,
-    cyl_table,
     cylinder_meet,
     dense_mask,
     density_ok,
@@ -135,12 +134,12 @@ def test_positions_matches_bin():
         assert positions(mask) == want
 
 
-def test_cyl_table_blocks():
+def test_cyl_mask_blocks():
     for depth in range(5):
         for level in range(depth + 1):
-            for j, cyl in enumerate(cyl_table(depth, level)):
+            for j in range(1 << level):
                 node = _bits(j, level)
-                assert cyl == sum(
+                assert cyl_mask(depth, level, j) == sum(
                     1 << i
                     for i in range(1 << depth)
                     if _bits(i, depth).startswith(node)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 from clopenforce import cli
 from clopenforce.cli import VERB_TABLE, dispatch
 from clopenforce.errors import ConstructionError
+from clopenforce.perfectposet import MAX_TABLE_NODES
 
 
 def run(capsys, *argv):
@@ -142,14 +144,16 @@ def test_eps_example(capsys):
     assert code == 0 and out == "1/4\n"
 
 
-def python_m(argv, **env):
-    """`python -m clopenforce argv` in a child process, extra env applied."""
+def python_m(argv, preexec_fn=None, **env):
+    """`python -m clopenforce argv` in a child process given 60 s, extra env
+    applied; `preexec_fn` runs in the child before the interpreter starts."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     return subprocess.run(
-        [sys.executable, "-m", "clopenforce", *argv], capture_output=True, env=env
+        [sys.executable, "-m", "clopenforce", *argv], capture_output=True, env=env,
+        timeout=60, preexec_fn=preexec_fn,
     )
 
 
@@ -511,6 +515,34 @@ def _malformed(rng, argv):
     return argv
 
 
+def test_deep_one_leaf_calls_run_in_little_memory():
+    # one-leaf conditions at depth 18..24 under a 1 GiB address-space cap: no
+    # kernel step may build a table over the 2^level cylinders of a level,
+    # and a cover whose subset table cannot be built is a usage error
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    calls = [(["pforce", "cover", "-b", "(d=5:{00000}, n=5)", "--k", "0"], 2,
+              "usage-error: 32 level-5 nodes: subset tables stop at 16\n")]
+    for depth in (18, 20, 24):
+        low, high = "0" * depth, "1" * depth
+        one = f"(d={depth}:{{{high}}}, n={depth})"
+        up = f"(d={depth}:{{{high}}}, n={depth - 1})"
+        calls += [
+            (["pforce", "compat", "--c1", one, "--c2", up], 0, "true\n"),
+            (["pforce", "compat", "--c1", one, "--c2",
+              f"(d={depth}:{{{low}}}, n={depth - 1})"], 0, "false\n"),
+            (["pforce", "leq", "--c1", one, "--c2", up], 0, "true\n"),
+            (["pforce", "oracle-check", "-b", one, "--against", up, "--k",
+              str(depth)], 0, '{"bad_members":[],"checked":0,"compat_agrees":true,'
+             '"members":0,"uncovered":[]}\n'),
+        ]
+    for argv, code, out in calls:
+        proc = python_m(argv, preexec_fn=cap)
+        assert (proc.returncode, proc.stdout.decode()) == (code, out), (
+            argv, proc.stderr)
+
+
 def test_malformed_input_never_escapes(tmp_path, monkeypatch):
     # every verb path, a fixed seed, bad inputs derived from the pinned calls
     # of that path: each exits 0, 1 or 2 and none raises
@@ -527,10 +559,17 @@ def test_malformed_input_never_escapes(tmp_path, monkeypatch):
             assert dispatch(argv) in (0, 1, 2), argv
 
 
+def leaves(depth: int, count: int) -> str:
+    """The condition on the first `count` leaves at `depth`, committed at 0."""
+    nodes = ",".join(format(i, f"0{depth}b") for i in range(count))
+    return f"(d={depth}:{{{nodes}}}, n=0)"
+
+
 def test_oversized_depths_exit_2(capsys):
-    # a depth or level above cantor.MAX_DEPTH, or a count above its ceiling,
-    # is a usage error, raised before any mask of 2^depth bits is built or
-    # any round run
+    # a depth or level above cantor.MAX_DEPTH, a count above its ceiling, an
+    # eps below its floor or a subset table over MAX_TABLE_NODES nodes is a
+    # usage error, raised before any mask of 2^depth bits or any table is
+    # built or any round run
     huge = str(HUGE)
     for argv in (
         ("eps", "--k", str(cli.MAX_K + 1), "--kprime", "1"),
@@ -546,6 +585,16 @@ def test_oversized_depths_exit_2(capsys):
         ("diag", "build", "--m", "1", "--granularity", huge, "--v", "3", "--depth", huge),
         ("ncov", "budget", "--json", json.dumps([{"n": HUGE, "Z": []}])),
         ("pforce", "leq", "--c1", "(d=40:{0}, n=0)", "--c2", B),
+        ("pforce", "oracle-check", "--samples", "4",
+         "--depth", str(cli.MAX_SAMPLE_DEPTH + 1)),
+        ("eps", "--binom", str(cli.MAX_BINOM + 1), "2"),
+        ("eps", "--binom", "4", str(cli.MAX_BINOM + 1)),
+        ("eps", "--kprime", "1", "--bound", f"1/{cli.MIN_EPS.denominator + 1}"),
+        ("cover", "schedule", "--eps", f"1/{cli.MIN_EPS.denominator + 1}", "--m", "1"),
+        ("cover", "shrink", "--eps", f"1/{cli.MIN_EPS.denominator + 1}", "--m", "1",
+         "--json", json.dumps(FAMILY)),
+        ("pforce", "cover", "-b", "(d=5:{00000}, n=5)", "--against",
+         leaves(5, MAX_TABLE_NODES + 1), "--k", "0"),
     ):
         code, out = run(capsys, *argv)
         assert code == 2 and out.startswith("usage-error:"), argv
@@ -556,9 +605,21 @@ def test_oversized_depths_exit_2(capsys):
         ("cover schedule", "--m", cli.MAX_ROUNDS),
         ("cover shrink", "--m", cli.MAX_ROUNDS),
         ("pforce oracle-check", "--samples", cli.MAX_SAMPLES),
+        ("pforce oracle-check", "--depth", cli.MAX_SAMPLE_DEPTH),
     ):
         args = cli._parser().parse_args([*path.split(), flag, str(ceiling)])
         assert getattr(args, flag[2:]) == ceiling
+    # and each call at its ceiling or floor runs
+    for argv, want in (
+        (("eps", "--binom", str(cli.MAX_BINOM), "1"), f"{cli.MAX_BINOM}\n"),
+        (("eps", "--kprime", "1", "--bound", str(cli.MIN_EPS)), "21\n"),
+        (("cover", "schedule", "--eps", str(cli.MIN_EPS), "--m", "1"), "[1,21]\n"),
+        (("pforce", "oracle-check", "--samples", "5", "--depth",
+          str(cli.MAX_SAMPLE_DEPTH)), '{"disagreements":0,"samples":5}\n'),
+        (("pforce", "cover", "-b", "(d=5:{00000}, n=5)", "--against",
+          leaves(5, MAX_TABLE_NODES), "--k", "0"), "[]\n"),
+    ):
+        assert run(capsys, *argv) == (0, want), argv
     # a huge granularity within a small depth is the depth check's failure
     argv = ("diag", "build", "--m", "1", "--granularity", huge, "--v", "3", "--depth", "2")
     code, out = run(capsys, *argv)

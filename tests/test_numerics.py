@@ -66,13 +66,14 @@ def test_min_k_for_values():
 
 
 def test_min_k_for_is_minimal():
-    for kp in range(1, 6):
-        for bound in (Fraction(1, 2), Fraction(1, 7), Fraction(3, 100)):
-            k = min_k_for(kp, bound)
-            assert k > kp
-            assert epsilon(k, kp) <= bound
-            if k - 1 > kp:
-                assert epsilon(k - 1, kp) > bound
+    # the definition read literally: scan k = k'+1, k'+2, ... through epsilon
+    for kp in range(1, 41):
+        for bound in (Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 7),
+                      Fraction(3, 100), Fraction(1, 1000), Fraction(1, 10**6)):
+            k = kp + 1
+            while epsilon(k, kp) > bound:
+                k += 1
+            assert min_k_for(kp, bound) == k, (kp, bound)
 
 
 def test_min_k_for_rejects_nonpositive_bound():
