@@ -127,6 +127,13 @@ def levelset_mask(mask: int, depth: int, level: int) -> int:
         raise ValueError("mask out of range for depth")
     if level == depth:
         return mask
+    if depth == _TABLE_DEPTH + 1:
+        # each half of a depth-4 mask is a depth-3 mask below one child of
+        # the root, whose level-(l-1) nodes are level-l nodes of the tree
+        if level == 0:
+            return 1 if mask else 0
+        table = _PROJECTIONS[_TABLE_DEPTH][level - 1]
+        return table[mask & 255] | table[mask >> 8] << (1 << level - 1)
     shift = depth - level
     out = 0
     while mask:

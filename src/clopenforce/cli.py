@@ -414,6 +414,9 @@ def _soft_escape(args) -> int:
     return 0 if report.ok else 1
 
 
+MAX_PAIRS = 15  # 2^pairs blame sets: 0.9 s at 15 pairs of 4-element posets
+
+
 @_verb("soft product", soft.product_cover, soft.product_height_step,
        flags=(*PAYLOAD, SOFT_M))
 def _soft_product(args) -> int:
@@ -426,6 +429,8 @@ def _soft_product(args) -> int:
     pairs = [tuple(pair) for pair in obj["pairs"]]
     if any(len(pair) != 2 for pair in pairs):
         raise ValueError("each of pairs is [first, second]")
+    if len(pairs) > MAX_PAIRS:
+        raise ValueError(f"{len(pairs)} pairs: soft product stops at {MAX_PAIRS}")
     cover = soft.product_cover(pq, gq, supp, pp, hp, pairs, args.m)
     poset, heights = soft.product_poset(pq, gq, supp, pp, hp)
     ok = soft.verify_cover(poset, heights, pairs, args.m, cover)
@@ -433,9 +438,12 @@ def _soft_product(args) -> int:
     return 0 if ok else 1
 
 
+MAX_BUILD_DEPTH = 15  # the chain lists every leaf: 1.1 s at --m 4 --granularity 1
+
+
 @_verb("diag build", diagonal.build_chain,
        flags=(DIAG_M, _flag("--granularity", type=int, default=2), V,
-              _flag("--depth", type=int, default=3)))
+              _flag("--depth", ceiling=MAX_BUILD_DEPTH, default=3)))
 def _diag_build(args) -> int:
     chain = diagonal.build_chain(args.m, args.granularity, args.v, args.depth)
     _emit_json(_chain_to_json(chain))

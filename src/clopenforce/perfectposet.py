@@ -11,6 +11,7 @@ forms are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 from .cantor import (
@@ -281,6 +282,26 @@ class OracleReport:
         return not self.bad_members and not self.uncovered
 
 
+def _node_table(leaves: list[int], depth: int, level: int, least: int,
+                empty: bool) -> bytes:
+    """t[x] for every x over the ascending `leaves` (bit i of x is leaf i):
+    1 when x holds `least` or more leaves under each level-`level` node it
+    meets, and meets every node of the leaves unless `empty`.
+
+    The leaves under one node are consecutive bits of x, so the table grows
+    node by node: one copy of itself, or zeros, per pattern of the node's
+    bits.
+    """
+    table = b"\1"
+    for _, run in groupby(leaves, lambda p: p >> depth - level):
+        zeros = bytes(len(table))
+        table = b"".join(
+            table if (v.bit_count() >= least if v else empty) else zeros
+            for v in range(1 << len(list(run)))
+        )
+    return table
+
+
 def cover_oracle(
     b: PCondition, c: PCondition, k: int, members: Sequence[PCondition]
 ) -> OracleReport:
@@ -289,45 +310,83 @@ def cover_oracle(
     Every dense-part condition below c that is incompatible with b and of
     height <= k must extend some member, and every member must itself sit
     below c and be incompatible with b.  Enumerates all submasks of c's
-    set, so desk scale only.
+    set, so desk scale only: more than MAX_TABLE_NODES leaves in c is a
+    ValueError.
+
+    A submask e of c is walked with its index x over c's leaves (bit i of x
+    is c's i-th leaf), so e falls as x falls.  Byte tables over x say
+    whether e meets every level-m node of c and whether e is dense at each
+    height m..k, so no submask is projected for them.  Members are bucketed
+    by level and trace once, and each e is looked up level by level from m
+    only until a member above it turns up, however many heights it is
+    checked at.
+
+    Chain of trust: incompatibility with b is decided by the closed form
+    `_compat_masks`, which `compat_oracle` audits exhaustively at depth 3
+    (every pair with n <= 2) and by sampling at depth 4.  Nothing else is
+    shared with `main_cover`.  `tests/oracle_restated.py` keeps the naive
+    walk that this one must equal, report for report.
     """
     depth = _same_depth(b, c)
-    bad_members = tuple(
-        q for q in members if not (p_leq(q, c) and not p_compatible(q, b))
-    )
-    kk = min(k, depth)
-    m = c.n
-    cmask = c.B.mask
-    if cmask.bit_count() > 24:
-        raise ValueError("oracle restricted to sets of <= 24 nodes")
-    lv_c_m = levelset_mask(cmask, depth, m)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for q in members:
-        key = (q.n, levelset_mask(q.B.mask, depth, q.n))
-        buckets.setdefault(key, []).append(q.B.mask)
+    m, cmask = c.n, c.B.mask
     bmask, n = b.B.mask, b.n
+    if cmask.bit_count() > MAX_TABLE_NODES:
+        raise ValueError(f"{cmask.bit_count()} leaves in c: the oracle's tables "
+                         f"stop at {MAX_TABLE_NODES}")
+    leaves = positions(cmask)
+    kk = min(k, depth)
+    lv_c_m = levelset_mask(cmask, depth, m)
+
+    bad_members = []
+    # per level m..kk: trace -> the complements of the members' masks
+    buckets = [{} for _ in range(m, kk + 1)]
+    for q in members:
+        _same_depth(q, c)
+        qm, qn = q.B.mask, q.n
+        if (
+            qn < m
+            or qm & ~cmask
+            or levelset_mask(qm, depth, m) != lv_c_m
+            or _compat_masks(qm, qn, bmask, n, depth)
+        ):
+            bad_members.append(q)
+        if m <= qn <= kk:
+            key = levelset_mask(qm, depth, qn)
+            buckets[qn - m].setdefault(key, []).append(~qm)
+    if kk < m:
+        return OracleReport(tuple(bad_members), (), 0)
+
+    met = _node_table(leaves, depth, m, 1, False)
+    # at ell >= depth - 1 any nonempty node is dense: `least` is 1 or 0
+    dense = [
+        _node_table(leaves, depth, ell, (1 << depth - ell) // 2, True)
+        for ell in range(m, kk + 1)
+    ]
+
     uncovered: list[PCondition] = []
     checked = 0
     e = cmask
-    while True:
-        if e and levelset_mask(e, depth, m) == lv_c_m:
-            lv_e = [levelset_mask(e, depth, lv) for lv in range(depth + 1)]
-            for ell in range(m, kk + 1):
-                if not dense_mask(e, depth, ell):
+    for x in range(len(met) - 1, 0, -1):
+        if met[x]:
+            covered = False
+            scanned = m  # the next level to look for a member above e at
+            for ell, table in enumerate(dense, m):
+                if not table[x]:
                     continue
                 if _compat_masks(e, ell, bmask, n, depth):
                     continue
                 checked += 1
-                if not any(
-                    e & ~mem == 0
-                    for lp in range(m, ell + 1)
-                    for mem in buckets.get((lp, lv_e[lp]), ())
-                ):
+                while not covered and scanned <= ell:
+                    bucket = buckets[scanned - m]
+                    for above in bucket.get(levelset_mask(e, depth, scanned), ()):
+                        if not e & above:
+                            covered = True
+                            break
+                    scanned += 1
+                if not covered:
                     uncovered.append(PCondition(ClopenSet(depth, e), ell))
-        if e == 0:
-            break
         e = (e - 1) & cmask
-    return OracleReport(bad_members, tuple(uncovered), checked)
+    return OracleReport(tuple(bad_members), tuple(uncovered), checked)
 
 
 def enumerate_pprime(depth: int, max_n: int | None = None) -> tuple[PCondition, ...]:

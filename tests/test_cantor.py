@@ -43,9 +43,9 @@ def _leaves(mask, depth):
     return [_bits(i, depth) for i in range(1 << depth) if mask >> i & 1]
 
 
-def _prefix_projection(mask, depth, level):
+def _prefix_projection(leaves, level):
     out = 0
-    for leaf in _leaves(mask, depth):
+    for leaf in leaves:
         out |= 1 << int(leaf[:level] or "0", 2)
     return out
 
@@ -57,36 +57,40 @@ def _dense_by_counts(mask, depth, level):
     return all(2 * count >= 1 << (depth - level) for count in counts.values())
 
 
-def _kernel_cases():
-    """Every (mask, depth) at depth <= 3, then a seeded sample at 4 and 5."""
-    for depth in range(4):
+def _kernel_cases(exhaustive=3):
+    """Every (mask, depth) at depth <= `exhaustive`, then a seeded sample at
+    the other depths up to 5."""
+    for depth in range(exhaustive + 1):
         for mask in range(1 << (1 << depth)):
             yield mask, depth
     rng = random.Random(2024)
     for depth in (4, 5):
-        for _ in range(300):
-            yield rng.getrandbits(1 << depth), depth
-        yield (1 << (1 << depth)) - 1, depth
-        yield 0, depth
+        # drawn either way, so the depth-5 sample does not depend on it
+        sample = [rng.getrandbits(1 << depth) for _ in range(300)]
+        if depth > exhaustive:
+            for mask in sample + [(1 << (1 << depth)) - 1, 0]:
+                yield mask, depth
 
 
 def test_levelset_mask_matches_prefix_restatement():
-    for mask, depth in _kernel_cases():
+    # exhaustive through depth 4, where the projection is two table reads
+    for mask, depth in _kernel_cases(exhaustive=4):
+        leaves = _leaves(mask, depth)
         for level in range(depth + 1):
             assert levelset_mask(mask, depth, level) == _prefix_projection(
-                mask, depth, level
+                leaves, level
             ), (mask, depth, level)
 
 
 def test_levelset_mask_level_out_of_range_raises():
-    for depth in (0, 2, 3, 4, 5):  # table path through depth 3, loop beyond
+    for depth in (0, 2, 3, 4, 5):  # tables to depth 3, two reads at 4, loop beyond
         for level in (-1, depth + 1):
             with pytest.raises(ValueError):
                 levelset_mask(1, depth, level)
 
 
 def test_levelset_mask_mask_out_of_range_raises():
-    for depth in range(6):  # table path through depth 3, loop beyond
+    for depth in range(6):  # tables to depth 3, two reads at 4, loop beyond
         bad = [1 << (1 << depth), 1 << 40]
         if depth <= 3:  # a negative mask on the loop path: see the next test
             bad += [-1, -(1 << 40)]

@@ -472,8 +472,10 @@ def test_each_path_accepts_exactly_the_flags_its_handler_reads(
 
 
 HUGE = 2**64
+# the last value is a list too long to walk: 2^64 blame sets as soft
+# product pairs
 BAD_JSON = (None, True, 1.5, "x", "", "1/0", "one", "0a", "2", [], {}, [[]], ["0a"],
-            {"a": 1}, -1, -3, HUGE)
+            {"a": 1}, -1, -3, HUGE, [["top", "top"]] * 64)
 BAD_FLAGS = ("-1", "0", "x", "", "1/0", "one", "0a", str(HUGE), "(d=2:{0a}, n=1)",
              "(d=2:{}, n=0)", "(d=9, n=1)", "(d=2:{00}, n=5)", "d=2:{00}")
 
@@ -565,6 +567,14 @@ def leaves(depth: int, count: int) -> str:
     return f"(d={depth}:{{{nodes}}}, n=0)"
 
 
+def product_pairs(count: int) -> str:
+    """A `soft product` payload with `count` pairs over two antichains."""
+    names = ["a", "b", "top"]
+    pairs = [[names[i % 3], names[i // 3 % 3]] for i in range(count)]
+    return json.dumps({"first": dict(POSET, supp={"a": 0, "b": 0, "top": 0}),
+                       "second": POSET, "pairs": pairs})
+
+
 def test_oversized_depths_exit_2(capsys):
     # a depth or level above cantor.MAX_DEPTH, a count above its ceiling, an
     # eps below its floor or a subset table over MAX_TABLE_NODES nodes is a
@@ -595,6 +605,13 @@ def test_oversized_depths_exit_2(capsys):
          "--json", json.dumps(FAMILY)),
         ("pforce", "cover", "-b", "(d=5:{00000}, n=5)", "--against",
          leaves(5, MAX_TABLE_NODES + 1), "--k", "0"),
+        # main_cover's tables stay at one level-0 node; the oracle's would
+        # span c's leaves
+        ("pforce", "oracle-check", "-b", leaves(5, MAX_TABLE_NODES), "--against",
+         leaves(5, MAX_TABLE_NODES + 1), "--k", "0"),
+        ("soft", "product", "--json", product_pairs(cli.MAX_PAIRS + 1)),
+        ("diag", "build", "--m", "1", "--granularity", "2", "--v", "3",
+         "--depth", str(cli.MAX_BUILD_DEPTH + 1)),
     ):
         code, out = run(capsys, *argv)
         assert code == 2 and out.startswith("usage-error:"), argv
@@ -606,6 +623,7 @@ def test_oversized_depths_exit_2(capsys):
         ("cover shrink", "--m", cli.MAX_ROUNDS),
         ("pforce oracle-check", "--samples", cli.MAX_SAMPLES),
         ("pforce oracle-check", "--depth", cli.MAX_SAMPLE_DEPTH),
+        ("diag build", "--depth", cli.MAX_BUILD_DEPTH),
     ):
         args = cli._parser().parse_args([*path.split(), flag, str(ceiling)])
         assert getattr(args, flag[2:]) == ceiling
@@ -618,6 +636,12 @@ def test_oversized_depths_exit_2(capsys):
           str(cli.MAX_SAMPLE_DEPTH)), '{"disagreements":0,"samples":5}\n'),
         (("pforce", "cover", "-b", "(d=5:{00000}, n=5)", "--against",
           leaves(5, MAX_TABLE_NODES), "--k", "0"), "[]\n"),
+        (("pforce", "oracle-check", "-b", leaves(5, MAX_TABLE_NODES), "--against",
+          leaves(5, MAX_TABLE_NODES), "--k", "0"),
+         '{"bad_members":[],"checked":0,"compat_agrees":true,"members":0,'
+         '"uncovered":[]}\n'),
+        (("soft", "product", "--m", "1", "--json", product_pairs(cli.MAX_PAIRS)),
+         '{"cover":[],"verified":true}\n'),
     ):
         assert run(capsys, *argv) == (0, want), argv
     # a huge granularity within a small depth is the depth check's failure

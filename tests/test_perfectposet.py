@@ -1,12 +1,14 @@
+import functools
 import hashlib
 import random
 from collections import Counter
 
 import pytest
 
+import oracle_restated
 from support import PairOrbits, random_pprime_condition
 
-from clopenforce.cantor import ClopenSet, canonicalize, full_set
+from clopenforce.cantor import ClopenSet, canonicalize, full_set, positions
 from clopenforce.errors import DepthExhausted, PruneFailed
 from clopenforce.perfectposet import (
     DeskPoset,
@@ -161,7 +163,10 @@ MAIN_COVER_D3_DIGEST = (
 )
 
 
-def test_main_cover_output_pinned_over_depth3_orbits():
+@functools.cache
+def depth3_pair_orbits():
+    """One (b, c) per tree-automorphism orbit of ordered pairs of depth-3
+    dense conditions (all commitment levels), in canonical-key order."""
     conds = enumerate_pprime(3)
     orbits = PairOrbits(3)
     reps = {}
@@ -169,13 +174,96 @@ def test_main_cover_output_pinned_over_depth3_orbits():
         for c in conds:
             key = (b.n, c.n, *orbits.canon_pair(b.B.mask, c.B.mask))
             reps.setdefault(key, (b, c))
+    return [reps[key] for key in sorted(reps)]
+
+
+def test_main_cover_output_pinned_over_depth3_orbits():
     digest = hashlib.sha256()
-    for key in sorted(reps):
-        b, c = reps[key]
+    for b, c in depth3_pair_orbits():
         for k in range(c.n, 4):
             cover = [(q.n, q.B.mask) for q in main_cover(b, c, k)]
             digest.update(repr(cover).encode())
     assert digest.hexdigest() == MAIN_COVER_D3_DIGEST
+
+
+def assert_oracles_agree(b, c, k, members):
+    """The table-driven oracle's report equals the naive restatement's."""
+    report = cover_oracle(b, c, k, members)
+    assert report == oracle_restated.cover_oracle(b, c, k, members), (b, c, k)
+    return report
+
+
+def test_cover_oracle_equals_restatement_over_depth3_orbits():
+    reps = depth3_pair_orbits()
+    assert len(reps) == 15_713
+    for b, c in reps:
+        assert assert_oracles_agree(b, c, 3, main_cover(b, c, 3)).ok
+
+
+def depth4_pairs(rng, count):
+    """Seeded depth-4 (b, c) pairs of dense conditions, c with up to 16 leaves."""
+    return [
+        (random_pprime_condition(rng, 4, 16), random_pprime_condition(rng, 4, 16))
+        for _ in range(count)
+    ]
+
+
+def test_cover_oracle_equals_restatement_depth4_sample():
+    for b, c in depth4_pairs(random.Random(44), 12):
+        for k in range(c.n, 5):
+            assert assert_oracles_agree(b, c, k, main_cover(b, c, k)).ok
+
+
+def mutation_cases():
+    """Seeded (b, c, k, cover) audits at depth 3 and 4 with a nonempty cover."""
+    rng = random.Random(808)
+    conds = enumerate_pprime(3)
+    pairs = [(rng.choice(conds), rng.choice(conds)) for _ in range(300)]
+    pairs += depth4_pairs(rng, 6)
+    for b, c in pairs:
+        k = rng.randint(c.n, c.depth)
+        cover = main_cover(b, c, k)
+        if cover:
+            yield rng, b, c, k, cover
+
+
+def test_cover_oracle_reports_a_dropped_member():
+    # dropping a member that extends no other one leaves it uncovered
+    seen = 0
+    for rng, b, c, k, cover in mutation_cases():
+        tops = [q for q in cover if not any(p_leq(q, r) for r in cover if r != q)]
+        gone = rng.choice(tops)
+        report = assert_oracles_agree(b, c, k, [q for q in cover if q != gone])
+        assert gone in report.uncovered and not report.bad_members
+        seen += 1
+    assert seen >= 100
+
+
+def test_cover_oracle_reports_a_compatible_member():
+    # b itself is compatible with b, so it is a bad member wherever it sits
+    for rng, b, c, k, cover in mutation_cases():
+        at = rng.randrange(len(cover) + 1)
+        report = assert_oracles_agree(b, c, k, cover[:at] + [b] + cover[at:])
+        assert report.bad_members == (b,) and not report.uncovered
+
+
+def test_cover_oracle_reports_a_member_outside_c():
+    # a member grown by a leaf outside c no longer sits below c; whatever it
+    # then fails to cover, both oracles report alike
+    seen = 0
+    for rng, b, c, k, cover in mutation_cases():
+        outside = ~c.B.mask & (1 << (1 << c.depth)) - 1
+        if not outside:
+            continue
+        at = rng.randrange(len(cover))
+        q = cover[at]
+        leaf = rng.choice(positions(outside))
+        moved = PCondition(ClopenSet(c.depth, q.B.mask | 1 << leaf), q.n)
+        report = assert_oracles_agree(
+            b, c, k, cover[:at] + [moved] + cover[at + 1:])
+        assert report.bad_members == (moved,)
+        seen += 1
+    assert seen >= 100
 
 
 def test_iterate_cover_examples():
