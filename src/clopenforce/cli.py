@@ -346,9 +346,11 @@ def _pforce_oracle_check(args) -> int:
     if len(args.b) > 1:
         raise ValueError("--against only pairs with a single -b condition")
     b, c = parse_pcondition(args.b[0]), parse_pcondition(args.against)
-    agree = perfectposet.p_compatible(b, c) == perfectposet.compat_oracle(b, c)
+    # the cover and its audit reject an oversized c before the compatibility
+    # oracle walks up to 2^24 submasks
     members = perfectposet.main_cover(b, c, args.k)
     report = perfectposet.cover_oracle(b, c, args.k, members)
+    agree = perfectposet.p_compatible(b, c) == perfectposet.compat_oracle(b, c)
     _emit_json(
         {
             "compat_agrees": agree,
@@ -438,14 +440,28 @@ def _soft_product(args) -> int:
     return 0 if ok else 1
 
 
-MAX_BUILD_DEPTH = 15  # the chain lists every leaf: 1.1 s at --m 4 --granularity 1
+MAX_BUILD_DEPTH = 15  # 0.5 s at --m 1 --granularity 1 (65,536 leaves listed)
+# leaves listed over both coordinates of every entry: 0.7 s at --m 2
+# --granularity 1 --depth 15 (6 entries), 1.5 s at --m 2 --granularity 5
+# --depth 11 (31,776 entries)
+MAX_CHAIN_LEAVES = 1 << 17
 
 
 @_verb("diag build", diagonal.build_chain,
        flags=(DIAG_M, _flag("--granularity", type=int, default=2), V,
               _flag("--depth", ceiling=MAX_BUILD_DEPTH, default=3)))
 def _diag_build(args) -> int:
-    chain = diagonal.build_chain(args.m, args.granularity, args.v, args.depth)
+    m, g, depth = args.m, args.granularity, args.depth
+    if g > 0 and m * g <= depth:  # otherwise build_chain names the fault
+        span = 1 << g
+        # level l has span (span (span - 1))^l entries, each two cylinders
+        # of 2^(depth - g (l + 1)) leaves
+        listed = sum(2 * span * (span * (span - 1)) ** l << depth - g * (l + 1)
+                     for l in range(m))
+        if listed > MAX_CHAIN_LEAVES:
+            raise ValueError(f"the chain lists {listed} leaves: diag build stops "
+                             f"at {MAX_CHAIN_LEAVES}")
+    chain = diagonal.build_chain(m, g, args.v, depth)
     _emit_json(_chain_to_json(chain))
     return 0
 

@@ -163,32 +163,23 @@ def prune_to_dense(B: ClopenSet, n: int) -> PCondition:
 MAX_TABLE_NODES = 16  # 2^16 entries per table, the size depth 4 reaches
 
 
-def _subset_dp(mask: int, depth: int, level: int, proj_shifts: list[int]):
-    """Tables over all subsets x of the level-`level` nodes of mask.
-
-    Returns (T, U, projs): T[x] is the chosen node set, U[x] the part of
-    mask below it, and projs[i][x] the node set projected proj_shifts[i]
-    levels up.  More than MAX_TABLE_NODES nodes is a ValueError.
+def _subset_dp(mask: int, depth: int, level: int) -> list[int]:
+    """U[x] for every subset x of the level-`level` nodes of mask (bit i of
+    x is the i-th node): the part of mask below the nodes x picks.  More
+    than MAX_TABLE_NODES nodes is a ValueError, raised before any node is
+    listed.
     """
+    nodes = levelset_mask(mask, depth, level)
+    if nodes.bit_count() > MAX_TABLE_NODES:
+        raise ValueError(f"{nodes.bit_count()} level-{level} nodes: subset tables "
+                         f"stop at {MAX_TABLE_NODES}")
     shift = depth - level
     block = (1 << (1 << shift)) - 1
-    pos = positions(levelset_mask(mask, depth, level))
-    if len(pos) > MAX_TABLE_NODES:
-        raise ValueError(f"{len(pos)} level-{level} nodes: subset tables "
-                         f"stop at {MAX_TABLE_NODES}")
-    size = 1 << len(pos)
-    T = [0] * size
-    U = [0] * size
-    projs = [[0] * size for _ in proj_shifts]
-    for x in range(1, size):
-        low = x & -x
-        j = pos[low.bit_length() - 1]
-        y = x ^ low
-        T[x] = T[y] | (1 << j)
-        U[x] = U[y] | (mask & block << (j << shift))
-        for pi, up in enumerate(proj_shifts):
-            projs[pi][x] = projs[pi][y] | (1 << (j >> up))
-    return T, U, projs
+    U = [0]
+    for j in positions(nodes):
+        part = mask & block << (j << shift)
+        U += [u | part for u in U]
+    return U
 
 
 def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
@@ -196,13 +187,15 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
     with b up to height k.
 
     Per height ell, with s = min(ell, n) and fine = max(ell, n), the
-    candidates are cylinder surgeries on c that keep c's trace at m:
-    either the trace at s already disagrees with b's (family A, subsets of
+    candidates are unions u of c's cylinders that keep c's trace at m:
+    either u's trace at s already disagrees with b's (family A, unions of
     c's level-ell nodes), or it agrees and one committed node of the finer
-    side is missed or has b's mass cut away below it (family B, subsets of
-    c's level-fine nodes).  Candidates outside the dense part at ell are
-    dropped; a dropped candidate can dominate no dense condition either,
-    so nothing dense is lost.
+    side is missed or has b's mass cut away below it (family B, unions of
+    c's level-fine nodes).  One pass per subset table sorts each u into its
+    family: the level-ell table when ell >= n, else the level-n table (B)
+    and then the level-ell one (A).  Candidates outside the dense part at
+    ell are dropped; a dropped candidate can dominate no dense condition
+    either, so nothing dense is lost.
     """
     depth = _same_depth(b, c)
     if not in_pprime(b) or not in_pprime(c):
@@ -211,45 +204,42 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
         raise DepthExhausted(f"height bound {k} exceeds depth {depth}")
     n, m = b.n, c.n
     bmask, cmask = b.B.mask, c.B.mask
-    lv_b = [levelset_mask(bmask, depth, lv) for lv in range(depth + 1)]
-    lv_c = [levelset_mask(cmask, depth, lv) for lv in range(depth + 1)]
+    trace_b_n = levelset_mask(bmask, depth, n)
+    trace_c_m = levelset_mask(cmask, depth, m)
     found: set[tuple[int, int]] = set()
 
     for ell in range(m, k + 1):
         s, fine = min(ell, n), max(ell, n)
-        dp_fine = _subset_dp(cmask, depth, fine, [fine - m, fine - s])
-        if fine == ell:
-            dp_ell = dp_fine
-        else:
-            dp_ell = _subset_dp(cmask, depth, ell, [ell - m, ell - s])
-        # family A: the trace at s disagrees with b's
-        _, U, (pm, ps) = dp_ell
-        for x in range(1, len(U)):
-            if pm[x] == lv_c[m] and ps[x] != lv_b[s] and dense_mask(U[x], depth, ell):
-                found.add((U[x], ell))
-        # family B: the trace at s agrees; miss a committed node or cut it
-        T, U, (pm, ps) = dp_fine
+        trace_b_s = levelset_mask(bmask, depth, s)
         shift = depth - fine
         block = (1 << (1 << shift)) - 1
-        for x in range(1, len(U)):
-            if pm[x] != lv_c[m] or ps[x] != lv_b[s]:
-                continue
-            committed = lv_b[n] if ell < n else T[x]
-            if T[x] & committed != committed:
-                if dense_mask(U[x], depth, ell):
-                    found.add((U[x], ell))
-                continue
-            for t in positions(committed):
-                cyl = block << (t << shift)
-                special = cmask & cyl & ~bmask
-                if special:
-                    cand = (U[x] & ~cyl) | special
-                    if dense_mask(cand, depth, ell):
-                        found.add((cand, ell))
-    return [
-        PCondition(ClopenSet(depth, mask), ell)
-        for ell, mask in sorted((ell, mask) for mask, ell in found)
-    ]
+        for level in (ell,) if ell >= n else (n, ell):
+            # U[0], the empty union, misses c's trace and is skipped
+            for u in _subset_dp(cmask, depth, level):
+                if levelset_mask(u, depth, m) != trace_c_m:
+                    continue
+                if levelset_mask(u, depth, s) != trace_b_s:
+                    # family A: the trace at s disagrees with b's
+                    if level == ell and dense_mask(u, depth, ell):
+                        found.add((ell, u))
+                    continue
+                if level != fine:
+                    continue
+                # family B: the trace at s agrees; miss a committed node or cut it
+                nodes = levelset_mask(u, depth, fine)
+                committed = trace_b_n if ell < n else nodes
+                if nodes & committed != committed:
+                    if dense_mask(u, depth, ell):
+                        found.add((ell, u))
+                    continue
+                for t in positions(committed):
+                    cyl = block << (t << shift)
+                    special = cmask & cyl & ~bmask
+                    if special:
+                        cand = (u & ~cyl) | special
+                        if dense_mask(cand, depth, ell):
+                            found.add((ell, cand))
+    return [PCondition(ClopenSet(depth, mask), ell) for ell, mask in sorted(found)]
 
 
 def iterate_cover(ps: Sequence[PCondition], k: int) -> list[PCondition]:

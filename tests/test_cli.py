@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from clopenforce import cli
+from clopenforce import cli, perfectposet
 from clopenforce.cli import VERB_TABLE, dispatch
 from clopenforce.errors import ConstructionError
 from clopenforce.perfectposet import MAX_TABLE_NODES
@@ -525,7 +525,12 @@ def test_deep_one_leaf_calls_run_in_little_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     calls = [(["pforce", "cover", "-b", "(d=5:{00000}, n=5)", "--k", "0"], 2,
-              "usage-error: 32 level-5 nodes: subset tables stop at 16\n")]
+              "usage-error: 32 level-5 nodes: subset tables stop at 16\n"),
+             # b is projected only at the levels the cover reads, and the
+             # level-22 table is refused before its 2^21 nodes are listed
+             (["pforce", "cover", "-b", "(d=22:{0}, n=22)", "--against",
+               "(d=22:{0}, n=0)", "--k", "0"], 2,
+              "usage-error: 2097152 level-22 nodes: subset tables stop at 16\n")]
     for depth in (18, 20, 24):
         low, high = "0" * depth, "1" * depth
         one = f"(d={depth}:{{{high}}}, n={depth})"
@@ -545,6 +550,17 @@ def test_deep_one_leaf_calls_run_in_little_memory():
             argv, proc.stderr)
 
 
+def test_oracle_check_rejects_an_oversized_c_before_compat_oracle(capsys, monkeypatch):
+    # the compatibility oracle would walk the 2^24 submasks of b & c first
+    def refuse(*args):
+        raise AssertionError("compat_oracle ran before the size checks")
+
+    monkeypatch.setattr(perfectposet, "compat_oracle", refuse)
+    code, out = run(capsys, "pforce", "oracle-check", "-b", leaves(5, 24, 5),
+                    "--against", leaves(5, 25, 5), "--k", "5")
+    assert (code, out) == (2, "usage-error: 25 level-5 nodes: subset tables stop at 16\n")
+
+
 def test_malformed_input_never_escapes(tmp_path, monkeypatch):
     # every verb path, a fixed seed, bad inputs derived from the pinned calls
     # of that path: each exits 0, 1 or 2 and none raises
@@ -561,10 +577,10 @@ def test_malformed_input_never_escapes(tmp_path, monkeypatch):
             assert dispatch(argv) in (0, 1, 2), argv
 
 
-def leaves(depth: int, count: int) -> str:
-    """The condition on the first `count` leaves at `depth`, committed at 0."""
+def leaves(depth: int, count: int, n: int = 0) -> str:
+    """The condition on the first `count` leaves at `depth`, committed at n."""
     nodes = ",".join(format(i, f"0{depth}b") for i in range(count))
-    return f"(d={depth}:{{{nodes}}}, n=0)"
+    return f"(d={depth}:{{{nodes}}}, n={n})"
 
 
 def product_pairs(count: int) -> str:
@@ -612,6 +628,10 @@ def test_oversized_depths_exit_2(capsys):
         ("soft", "product", "--json", product_pairs(cli.MAX_PAIRS + 1)),
         ("diag", "build", "--m", "1", "--granularity", "2", "--v", "3",
          "--depth", str(cli.MAX_BUILD_DEPTH + 1)),
+        # chains listing 196,608, 7,929,856 and 3,735,552 leaves
+        ("diag", "build", "--m", "3", "--granularity", "1", "--v", "1", "--depth", "15"),
+        ("diag", "build", "--m", "5", "--granularity", "2", "--v", "3", "--depth", "15"),
+        ("diag", "build", "--m", "3", "--granularity", "3", "--v", "3", "--depth", "15"),
     ):
         code, out = run(capsys, *argv)
         assert code == 2 and out.startswith("usage-error:"), argv
@@ -644,6 +664,12 @@ def test_oversized_depths_exit_2(capsys):
          '{"cover":[],"verified":true}\n'),
     ):
         assert run(capsys, *argv) == (0, want), argv
+    # a chain listing exactly MAX_CHAIN_LEAVES leaves is built
+    code, out = run(capsys, "diag", "build", "--m", "2", "--granularity", "1", "--v", "1",
+                    "--depth", str(cli.MAX_BUILD_DEPTH))
+    entries = json.loads(out)["entries"]
+    assert code == 0 and len(entries) == 6
+    assert sum(len(e[x]["nodes"]) for e in entries for x in "pq") == cli.MAX_CHAIN_LEAVES
     # a huge granularity within a small depth is the depth check's failure
     argv = ("diag", "build", "--m", "1", "--granularity", huge, "--v", "3", "--depth", "2")
     code, out = run(capsys, *argv)

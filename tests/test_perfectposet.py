@@ -186,6 +186,26 @@ def test_main_cover_output_pinned_over_depth3_orbits():
     assert digest.hexdigest() == MAIN_COVER_D3_DIGEST
 
 
+# sha256 of main_cover's output over 150 seeded pairs of depth-4 dense
+# conditions with n <= 3 and every height k in c.n..4, frozen before its
+# family loops were folded into one pass per subset table
+MAIN_COVER_D4_DIGEST = (
+    "b90db09673bd67c217260b9e3680d061fcf64ea6af04d5b9c0407065f7b8c6cb"
+)
+
+
+def test_main_cover_output_pinned_over_depth4_sample():
+    conds = enumerate_pprime(4, 3)
+    rng = random.Random(404)
+    digest = hashlib.sha256()
+    for _ in range(150):
+        b, c = rng.choice(conds), rng.choice(conds)
+        for k in range(c.n, 5):
+            cover = [(q.n, q.B.mask) for q in main_cover(b, c, k)]
+            digest.update(repr(cover).encode())
+    assert digest.hexdigest() == MAIN_COVER_D4_DIGEST
+
+
 def assert_oracles_agree(b, c, k, members):
     """The table-driven oracle's report equals the naive restatement's."""
     report = cover_oracle(b, c, k, members)
