@@ -32,6 +32,7 @@ __all__ = [
     "node_bits",
     "parse_clopen",
     "positions",
+    "projector",
 ]
 
 
@@ -90,25 +91,123 @@ def positions(mask: int) -> list[int]:
     return out
 
 
-def _projection_table(depth: int, level: int) -> bytes:
-    """levelset_mask(x, depth, level) for every mask x at `depth`, built by
-    the subset recurrence: x's projection is that of x without its lowest
-    node, plus that node's prefix."""
-    shift = depth - level
-    table = bytearray(1 << (1 << depth))
-    for x in range(1, len(table)):
-        rest = x & (x - 1)
-        table[x] = table[rest] | 1 << ((x ^ rest).bit_length() - 1 >> shift)
-    return bytes(table)
+class _Unbuilt:
+    """Holds the place of one depth's tables in `tables` until the first
+    read, which builds them and puts them in its place: later reads are
+    plain list and tuple subscripts."""
+
+    def __init__(self, tables: list, depth: int, build) -> None:
+        self.tables, self.depth, self.build = tables, depth, build
+
+    def __getitem__(self, level: int):
+        built = self.tables[self.depth] = self.build(self.depth)
+        return built[level]
 
 
-# at depth <= 3 a mask has at most 8 bits, so every projection is one
-# byte-table read; _PROJECTIONS[depth][level] is that table
-_TABLE_DEPTH = 3
-_PROJECTIONS = tuple(
-    tuple(_projection_table(depth, level) for level in range(depth + 1))
-    for depth in range(_TABLE_DEPTH + 1)
-)
+def _projection_tables(depth: int) -> tuple:
+    """levelset_mask(x, depth, level) for every mask x, one table per level.
+
+    Level 0 is "x is nonempty" and level = depth is x itself.  In between,
+    x's level-l trace is its halves' level-(l-1) traces side by side, so row
+    `hi` (the masks whose high half is hi) is the low halves' table with
+    hi's trace OR-ed into every entry: one `translate` per distinct trace.
+    """
+    size = 1 << (1 << depth)
+    tables = [b"\0" + b"\1" * (size - 1)] if depth else []
+    for level in range(1, depth):
+        t = _PROJECTIONS[depth - 1][level - 1]
+        shift = 1 << level - 1
+        rows = {v: t.translate(bytes(x | v << shift for x in range(256)))
+                for v in set(t)}
+        tables.append(b"".join(rows[v] for v in t))
+    # the identity; at depth 4 a range, which still raises IndexError on a
+    # mask too large for it
+    tables.append(bytes(range(size)) if size <= 256 else range(size))
+    return tuple(tables)
+
+
+def _density_tables(depth: int) -> tuple:
+    """dense_mask(x, depth, level) for every mask x, one table per level
+    below depth (depth >= 1).
+
+    Level 0 is "x is empty or holds half the leaves", counted as the two
+    halves' leaf counts.  At level l >= 1 both halves must be dense at
+    l - 1, so row `hi` is the low halves' table or zeros.
+    """
+    need = 1 << depth - 1
+    counts = [x.bit_count() for x in range(1 << need)]  # leaves of one half
+    rows = {c: bytes(c + low >= need for low in counts) for c in set(counts)}
+    tables = [b"\1" + b"".join(rows[c] for c in counts)[1:]]
+    for level in range(1, depth):
+        t = _DENSITY[depth - 1][level - 1]
+        zeros = bytes(len(t))
+        tables.append(b"".join(t if v else zeros for v in t))
+    return tuple(tables)
+
+
+# at depth <= 4 a mask has at most 16 bits, so every projection and density
+# test is one table read: _PROJECTIONS[depth][level] and
+# _DENSITY[depth][level] are those tables, built on first use of their depth
+# from the tables at depth - 1, whose masks are the two halves of a mask
+# (all of depth 4 in under a millisecond)
+_TABLE_DEPTH = 4
+_PROJECTIONS: list = []
+_PROJECTIONS += [_Unbuilt(_PROJECTIONS, depth, _projection_tables)
+                 for depth in range(_TABLE_DEPTH + 1)]
+_DENSITY: list = []
+_DENSITY += [_Unbuilt(_DENSITY, depth, _density_tables)
+             for depth in range(_TABLE_DEPTH + 1)]
+# beyond the tables a mask is walked node by node, one pass over the mask
+# per node, for its first _WALK_NODES nodes; the rest is one pass over its
+# bytes, each the depth-3 subtree below a level-(depth-3) node.  The byte
+# pass costs about as much as 10 to 16 steps of the walk at depths 5 to 12,
+# so sparse masks keep the walk and no mask costs more than linear time.
+_WALK_NODES = 16
+_BYTE_DEPTH = 3
+
+
+def _pack(values: bytes, width: int) -> int:
+    """The int holding values[i] (each below 2^width, width 1, 2 or 4) in
+    bits i*width ... (i+1)*width - 1.
+
+    OR-ing in x >> r*(8 - width) for r < 8/width moves the 8/width values
+    of each group of bytes into the group's first byte, which the slice
+    keeps.
+    """
+    x = int.from_bytes(values, "little")
+    step = 8 - width
+    while step < 8 * (8 - width) // width:
+        x |= x >> step
+        step *= 2
+    return int.from_bytes(x.to_bytes(len(values), "little")[:: 8 // width], "little")
+
+
+def _project_bytes(mask: int, depth: int, level: int) -> int:
+    """levelset_mask in one pass over mask's bytes (level < depth)."""
+    data = mask.to_bytes(1 << depth - _BYTE_DEPTH, "little")
+    up = depth - level
+    if up <= _BYTE_DEPTH:
+        sub = _BYTE_DEPTH - up
+        return _pack(data.translate(_PROJECTIONS[_BYTE_DEPTH][sub]), 1 << sub)
+    # coarser: project the set of nonempty subtrees, a depth-3-shallower mask
+    nonempty = _pack(data.translate(_PROJECTIONS[_BYTE_DEPTH][0]), 1)
+    return levelset_mask(nonempty, depth - _BYTE_DEPTH, level)
+
+
+def _dense_bytes(mask: int, depth: int, level: int) -> bool:
+    """dense_mask in one pass over mask's bytes (level < depth)."""
+    data = mask.to_bytes(1 << depth - _BYTE_DEPTH, "little")
+    up = depth - level
+    if up <= _BYTE_DEPTH:
+        # a byte's level-(3 - up) nodes are level-`level` nodes of the tree
+        # and need as many leaves
+        return 0 not in data.translate(_DENSITY[_BYTE_DEPTH][_BYTE_DEPTH - up])
+    need = 1 << up - 1
+    width = 1 << up - _BYTE_DEPTH  # bytes per node
+    return not any(
+        0 < int.from_bytes(data[i:i + width], "little").bit_count() < need
+        for i in range(0, len(data), width)
+    )
 
 
 def levelset_mask(mask: int, depth: int, level: int) -> int:
@@ -127,16 +226,13 @@ def levelset_mask(mask: int, depth: int, level: int) -> int:
         raise ValueError("mask out of range for depth")
     if level == depth:
         return mask
-    if depth == _TABLE_DEPTH + 1:
-        # each half of a depth-4 mask is a depth-3 mask below one child of
-        # the root, whose level-(l-1) nodes are level-l nodes of the tree
-        if level == 0:
-            return 1 if mask else 0
-        table = _PROJECTIONS[_TABLE_DEPTH][level - 1]
-        return table[mask & 255] | table[mask >> 8] << (1 << level - 1)
     shift = depth - level
     out = 0
+    walk = _WALK_NODES
     while mask:
+        if not walk:
+            return out | _project_bytes(mask, depth, level)
+        walk -= 1
         j = (mask & -mask).bit_length() - 1 >> shift
         out |= 1 << j
         # skip the rest of this node's block: nothing below it is left
@@ -144,20 +240,46 @@ def levelset_mask(mask: int, depth: int, level: int) -> int:
     return out
 
 
+def projector(depth: int, level: int):
+    """levelset_mask(., depth, level) as one callable, for loops that
+    project many masks at one depth and level: a table's `__getitem__` at
+    depth <= 4, the identity at level = depth.  At depth <= 4 masks are not
+    range checked, so pass only submasks of a mask that was."""
+    check_depth(depth)
+    if not 0 <= level <= depth:
+        raise ValueError("level out of range")
+    if depth <= _TABLE_DEPTH:
+        return _PROJECTIONS[depth][level].__getitem__
+    if level == depth:
+        return lambda mask: mask
+    return lambda mask: levelset_mask(mask, depth, level)
+
+
 def dense_mask(mask: int, depth: int, level: int) -> bool:
     """Every level-`level` node of mask keeps at least half its cylinder,
     i.e. measure at least 2^-(level+1).  True from level = depth on."""
     if level >= depth:
         return True
-    shift = depth - level
-    block = (1 << (1 << shift)) - 1
-    need = 1 << (shift - 1)
-    lv = levelset_mask(mask, depth, level)
-    while lv:
-        low = lv & -lv
-        if (mask >> (low.bit_length() - 1 << shift) & block).bit_count() < need:
+    if level < 0:
+        raise ValueError("level out of range")
+    if depth <= _TABLE_DEPTH and mask >= 0:
+        try:
+            return _DENSITY[depth][level][mask] == 1
+        except IndexError:
+            pass  # too large for the table: rejected below
+    levelset_mask(mask, depth, depth)  # raises on a mask out of range
+    up = depth - level
+    block = (1 << (1 << up)) - 1
+    need = 1 << up - 1
+    walk = _WALK_NODES
+    while mask:
+        if not walk:
+            return _dense_bytes(mask, depth, level)
+        walk -= 1
+        j = (mask & -mask).bit_length() - 1 >> up
+        if (mask >> (j << up) & block).bit_count() < need:
             return False
-        lv ^= low
+        mask &= -1 << (j + 1 << up)
     return True
 
 

@@ -23,6 +23,7 @@ from .cantor import (
     levelset_mask,
     parse_clopen,
     positions,
+    projector,
     clopen_from_json,
     clopen_to_json,
 )
@@ -211,14 +212,16 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
     for ell in range(m, k + 1):
         s, fine = min(ell, n), max(ell, n)
         trace_b_s = levelset_mask(bmask, depth, s)
+        # projectors skip the range check: every u is a submask of c's mask
+        at_m, at_s, at_fine = (projector(depth, lv) for lv in (m, s, fine))
         shift = depth - fine
         block = (1 << (1 << shift)) - 1
         for level in (ell,) if ell >= n else (n, ell):
             # U[0], the empty union, misses c's trace and is skipped
             for u in _subset_dp(cmask, depth, level):
-                if levelset_mask(u, depth, m) != trace_c_m:
+                if at_m(u) != trace_c_m:
                     continue
-                if levelset_mask(u, depth, s) != trace_b_s:
+                if at_s(u) != trace_b_s:
                     # family A: the trace at s disagrees with b's
                     if level == ell and dense_mask(u, depth, ell):
                         found.add((ell, u))
@@ -226,7 +229,7 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
                 if level != fine:
                     continue
                 # family B: the trace at s agrees; miss a committed node or cut it
-                nodes = levelset_mask(u, depth, fine)
+                nodes = at_fine(u)
                 committed = trace_b_n if ell < n else nodes
                 if nodes & committed != committed:
                     if dense_mask(u, depth, ell):
@@ -353,6 +356,8 @@ def cover_oracle(
         for ell in range(m, kk + 1)
     ]
 
+    # projectors skip the range check: every e is a submask of c's mask
+    at = [projector(depth, level) for level in range(m, kk + 1)]
     uncovered: list[PCondition] = []
     checked = 0
     e = cmask
@@ -368,7 +373,7 @@ def cover_oracle(
                 checked += 1
                 while not covered and scanned <= ell:
                     bucket = buckets[scanned - m]
-                    for above in bucket.get(levelset_mask(e, depth, scanned), ()):
+                    for above in bucket.get(at[scanned - m](e), ()):
                         if not e & above:
                             covered = True
                             break
@@ -383,12 +388,13 @@ def enumerate_pprime(depth: int, max_n: int | None = None) -> tuple[PCondition, 
     """All dense-part conditions at this depth with commitment <= max_n."""
     if max_n is None:
         max_n = depth
-    out = []
-    for n in range(max_n + 1):
-        for mask in range(1, 1 << (1 << depth)):
-            if dense_mask(mask, depth, n):
-                out.append(PCondition(ClopenSet(depth, mask), n))
-    return tuple(out)
+    sets = [ClopenSet(depth, mask) for mask in range(1, 1 << (1 << depth))]
+    return tuple(
+        PCondition(B, n)
+        for n in range(max_n + 1)
+        for B in sets
+        if dense_mask(B.mask, depth, n)
+    )
 
 
 class DeskPoset(FinitePoset):

@@ -2,10 +2,12 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from kernel_restated import bits, dense_by_counts, leaves, prefix_projection
 
 from clopenforce import cantor
 from clopenforce.cantor import (
@@ -27,34 +29,8 @@ from clopenforce.cantor import (
     measure,
     parse_clopen,
     positions,
+    projector,
 )
-
-
-# Restatements of the bit kernel from node bit strings, sharing no code with
-# it: a mask's nodes are the strings of its set bits, a projection is the
-# set of their prefixes, a node's mass is how many leaves carry its prefix.
-
-
-def _bits(i, width):
-    return format(i, "b").zfill(width) if width else ""
-
-
-def _leaves(mask, depth):
-    return [_bits(i, depth) for i in range(1 << depth) if mask >> i & 1]
-
-
-def _prefix_projection(leaves, level):
-    out = 0
-    for leaf in leaves:
-        out |= 1 << int(leaf[:level] or "0", 2)
-    return out
-
-
-def _dense_by_counts(mask, depth, level):
-    counts = {}
-    for leaf in _leaves(mask, depth):
-        counts[leaf[:level]] = counts.get(leaf[:level], 0) + 1
-    return all(2 * count >= 1 << (depth - level) for count in counts.values())
 
 
 def _kernel_cases(exhaustive=3):
@@ -73,42 +49,146 @@ def _kernel_cases(exhaustive=3):
 
 
 def test_levelset_mask_matches_prefix_restatement():
-    # exhaustive through depth 4, where the projection is two table reads
+    # exhaustive through depth 4, where every projection is one table read
     for mask, depth in _kernel_cases(exhaustive=4):
-        leaves = _leaves(mask, depth)
+        spelled = leaves(mask, depth)
         for level in range(depth + 1):
-            assert levelset_mask(mask, depth, level) == _prefix_projection(
-                leaves, level
+            assert levelset_mask(mask, depth, level) == prefix_projection(
+                spelled, level
             ), (mask, depth, level)
 
 
+def test_density_predicate_matches_node_counts():
+    # exhaustive through depth 4, where every density test is one table read
+    for mask, depth in _kernel_cases(exhaustive=4):
+        spelled = leaves(mask, depth)
+        for level in range(depth + 1):
+            want = dense_by_counts(spelled, depth, level)
+            assert dense_mask(mask, depth, level) == want, (mask, depth, level)
+            assert density_ok(ClopenSet(depth, mask), level) == want
+
+
+def test_projector_matches_levelset_mask():
+    rng = random.Random(6)
+    cases = list(_kernel_cases()) + [(rng.getrandbits(64), 6) for _ in range(100)]
+    cases += [(1 << rng.randrange(64) | 1 << rng.randrange(64), 6) for _ in range(100)]
+    for mask, depth in cases:
+        for level in range(depth + 1):
+            assert projector(depth, level)(mask) == levelset_mask(mask, depth, level)
+    for depth, level in ((4, -1), (4, 5), (MAX_DEPTH + 1, 0)):
+        with pytest.raises(ValueError):
+            projector(depth, level)
+
+
+def _deep_cases(rng, depth):
+    """Seeded depth-`depth` masks for the paths beyond the tables: a few
+    leaves (the node walk), many leaves (the walk, then one pass over the
+    bytes), and unions of cylinders with a few leaves dropped, so that some
+    are dense at some levels."""
+    size = 1 << depth
+    for count in (0, 1, 3, 16, 17, 40, size // 2):
+        mask = 0
+        for _ in range(count):
+            mask |= 1 << rng.randrange(size)
+        yield mask
+    yield rng.getrandbits(size)
+    yield (1 << size) - 1
+    for _ in range(12):
+        mask = 0
+        for _ in range(rng.randint(1, 40)):
+            level = rng.randint(0, depth)
+            mask |= cyl_mask(depth, level, rng.randrange(1 << level))
+        for _ in range(rng.randint(0, 3)):
+            mask &= ~(1 << rng.randrange(size))
+        yield mask
+
+
+def test_deep_kernel_matches_restatements():
+    rng = random.Random(512)
+    for depth in range(5, 13):
+        outcomes = set()
+        for mask in _deep_cases(rng, depth):
+            spelled = leaves(mask, depth)
+            for level in range(depth + 1):
+                want = prefix_projection(spelled, level)
+                assert levelset_mask(mask, depth, level) == want, (mask, depth, level)
+                dense = dense_by_counts(spelled, depth, level)
+                assert dense_mask(mask, depth, level) == dense, (mask, depth, level)
+                outcomes.add(dense)
+        assert outcomes == {True, False}
+
+
+def test_deep_kernel_is_linear_in_the_mask():
+    # one half of the tree at depth 20: 2^18 level-19 nodes, each of which
+    # took a pass over the whole 2^20-bit mask (0.98 s at depth 18)
+    mask = cyl_mask(20, 1, 0)
+    start = time.perf_counter()
+    assert levelset_mask(mask, 20, 19) == (1 << (1 << 18)) - 1
+    assert dense_mask(mask, 20, 19) and dense_mask(mask, 20, 14)
+    assert not dense_mask(mask & ~31, 20, 17)  # 3 of 8 leaves left below 0^17
+    assert time.perf_counter() - start < 1
+
+
 def test_levelset_mask_level_out_of_range_raises():
-    for depth in (0, 2, 3, 4, 5):  # tables to depth 3, two reads at 4, loop beyond
+    for depth in (0, 2, 3, 4, 5):  # tables to depth 4, the node walk beyond
         for level in (-1, depth + 1):
             with pytest.raises(ValueError):
                 levelset_mask(1, depth, level)
 
 
 def test_levelset_mask_mask_out_of_range_raises():
-    for depth in range(6):  # tables to depth 3, two reads at 4, loop beyond
-        bad = [1 << (1 << depth), 1 << 40]
-        if depth <= 3:  # a negative mask on the loop path: see the next test
+    for depth in range(7):  # tables to depth 4, the node walk beyond
+        bad = [1 << (1 << depth), 1 << 70]
+        if depth <= 4:  # a negative mask on the node walk: see the next test
             bad += [-1, -(1 << 40)]
         for mask in bad:
             with pytest.raises(ValueError):
                 levelset_mask(mask, depth, min(1, depth))
 
 
+def test_dense_mask_out_of_range_raises():
+    for depth in range(1, 7):
+        bad = [1 << (1 << depth), 1 << 70]
+        if depth <= 4:  # a negative mask on the node walk: see the next test
+            bad += [-1, -(1 << 40)]
+        for mask in bad:
+            with pytest.raises(ValueError):
+                dense_mask(mask, depth, 0)
+        with pytest.raises(ValueError):
+            dense_mask(1, depth, -1)
+
+
 def test_levelset_mask_negative_on_loop_path_raises_in_time():
-    # the block-skip loop never ends on a negative mask unless it is
-    # rejected first; a child process lets a hang fail the test
-    code = "from clopenforce.cantor import levelset_mask\nlevelset_mask(-1, 4, 1)\n"
+    # the node walk never ends on a negative mask unless it is rejected
+    # first; a child process lets a hang fail the test
+    src = str(Path(cantor.__file__).parents[1])
+    for call in ("levelset_mask(-1, 5, 1)", "dense_mask(-1, 5, 1)"):
+        code = f"from clopenforce.cantor import *\n{call}\n"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert "ValueError: mask out of range for depth" in done.stderr, call
+
+
+def test_importing_the_cli_builds_no_depth4_table():
+    # the depth-4 tables are built on first depth-4 use, so start-up and
+    # depth-3 work do not pay for them
+    code = (
+        "import clopenforce.cli\n"
+        "from clopenforce import cantor\n"
+        "built = lambda: [type(t[4]) is tuple for t in (cantor._PROJECTIONS, cantor._DENSITY)]\n"
+        "print(built())\n"
+        "cantor.levelset_mask(1, 4, 2)\n"
+        "cantor.dense_mask(1, 4, 2)\n"
+        "print(built())\n"
+    )
     src = str(Path(cantor.__file__).parents[1])
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert "ValueError: mask out of range for depth" in done.stderr
+    assert done.stdout == "[False, False]\n[True, True]\n", done.stderr
 
 
 def test_depth_bound():
@@ -123,14 +203,6 @@ def test_depth_bound():
             levelset_mask(0, depth, 0)
 
 
-def test_density_predicate_matches_node_counts():
-    for mask, depth in _kernel_cases():
-        for level in range(depth + 1):
-            want = _dense_by_counts(mask, depth, level)
-            assert dense_mask(mask, depth, level) == want, (mask, depth, level)
-            assert density_ok(ClopenSet(depth, mask), level) == want
-
-
 def test_positions_matches_bin():
     rng = random.Random(5)
     for mask in [0, 1, 2, 0b1011] + [rng.getrandbits(70) for _ in range(200)]:
@@ -142,11 +214,11 @@ def test_cyl_mask_blocks():
     for depth in range(5):
         for level in range(depth + 1):
             for j in range(1 << level):
-                node = _bits(j, level)
+                node = bits(j, level)
                 assert cyl_mask(depth, level, j) == sum(
                     1 << i
                     for i in range(1 << depth)
-                    if _bits(i, depth).startswith(node)
+                    if bits(i, depth).startswith(node)
                 )
 
 

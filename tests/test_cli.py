@@ -550,6 +550,14 @@ def test_deep_one_leaf_calls_run_in_little_memory():
             argv, proc.stderr)
 
 
+def test_deep_half_tree_compat_runs_in_time():
+    # 2^20 committed level-21 nodes: the node walk once took a pass over the
+    # whole 2^22-bit mask per node and did not end in 30 s
+    proc = python_m(["pforce", "compat", "--c1", "(d=22:{0}, n=21)",
+                     "--c2", "(d=22:{0}, n=21)"])
+    assert (proc.returncode, proc.stdout) == (0, b"true\n"), proc.stderr
+
+
 def test_oracle_check_rejects_an_oversized_c_before_compat_oracle(capsys, monkeypatch):
     # the compatibility oracle would walk the 2^24 submasks of b & c first
     def refuse(*args):

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import oracle_restated
+from kernel_restated import dense_by_counts, leaves
 from support import PairOrbits, random_pprime_condition
 
 from clopenforce.cantor import ClopenSet, canonicalize, full_set, positions
@@ -152,6 +153,28 @@ def test_main_cover_passes_oracle_random_depth3():
         k = rng.randint(0, 3)
         report = cover_oracle(b, c, k, main_cover(b, c, k))
         assert report.ok
+
+
+# sha256 of the (n, mask) pairs of enumerate_pprime(4, 3), in order, frozen
+# while it still built one ClopenSet per (mask, n)
+ENUMERATE_D4_DIGEST = (
+    "103c700ca7941010196d0c5c34c2f79803ecc22dc96da2c74cf87d6d3d8c46ad"
+)
+
+
+def test_enumerate_pprime_matches_node_counts():
+    for depth in range(4):
+        want = [
+            (n, mask)
+            for n in range(depth + 1)
+            for mask in range(1, 1 << (1 << depth))
+            if dense_by_counts(leaves(mask, depth), depth, n)
+        ]
+        assert [(q.n, q.B.mask) for q in enumerate_pprime(depth)] == want
+    conds = enumerate_pprime(4, 3)
+    assert len(conds) == 152_368
+    digest = hashlib.sha256(repr([(q.n, q.B.mask) for q in conds]).encode())
+    assert digest.hexdigest() == ENUMERATE_D4_DIGEST
 
 
 # sha256 of main_cover's output over every depth-3 pair orbit of dense
