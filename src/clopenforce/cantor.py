@@ -127,21 +127,25 @@ def _projection_tables(depth: int) -> tuple:
 
 
 def _density_tables(depth: int) -> tuple:
-    """dense_mask(x, depth, level) for every mask x, one table per level
-    below depth (depth >= 1).
+    """dense_mask(x, depth, level) for every mask x, one table per level.
 
-    Level 0 is "x is empty or holds half the leaves", counted as the two
-    halves' leaf counts.  At level l >= 1 both halves must be dense at
-    l - 1, so row `hi` is the low halves' table or zeros.
+    Below depth, level 0 is "x is empty or holds half the leaves", counted
+    as the two halves' leaf counts.  At level l >= 1 both halves must be
+    dense at l - 1, so row `hi` is the low halves' table or zeros.  At
+    level = depth every mask is dense: all ones, which still raises
+    IndexError on a mask too large for it.
     """
-    need = 1 << depth - 1
-    counts = [x.bit_count() for x in range(1 << need)]  # leaves of one half
-    rows = {c: bytes(c + low >= need for low in counts) for c in set(counts)}
-    tables = [b"\1" + b"".join(rows[c] for c in counts)[1:]]
+    tables = []
+    if depth:
+        need = 1 << depth - 1
+        counts = [x.bit_count() for x in range(1 << need)]  # leaves of one half
+        rows = {c: bytes(c + low >= need for low in counts) for c in set(counts)}
+        tables.append(b"\1" + b"".join(rows[c] for c in counts)[1:])
     for level in range(1, depth):
         t = _DENSITY[depth - 1][level - 1]
         zeros = bytes(len(t))
         tables.append(b"".join(t if v else zeros for v in t))
+    tables.append(b"\1" * (1 << (1 << depth)))
     return tuple(tables)
 
 
@@ -257,17 +261,20 @@ def projector(depth: int, level: int):
 
 def dense_mask(mask: int, depth: int, level: int) -> bool:
     """Every level-`level` node of mask keeps at least half its cylinder,
-    i.e. measure at least 2^-(level+1).  True from level = depth on."""
-    if level >= depth:
-        return True
+    i.e. measure at least 2^-(level+1).  True from level = depth on.
+
+    A mask outside 0 <= mask < 2^(2^depth) is a ValueError at every level.
+    """
     if level < 0:
         raise ValueError("level out of range")
-    if depth <= _TABLE_DEPTH and mask >= 0:
+    if 0 <= depth <= _TABLE_DEPTH and mask >= 0:
         try:
             return _DENSITY[depth][level][mask] == 1
         except IndexError:
-            pass  # too large for the table: rejected below
+            pass  # too large for the table, or level > depth: checked below
     levelset_mask(mask, depth, depth)  # raises on a mask out of range
+    if level >= depth:
+        return True
     up = depth - level
     block = (1 << (1 << up)) - 1
     need = 1 << up - 1

@@ -1,9 +1,12 @@
 """Shared test helpers: tree-automorphism orbit reduction for exhaustive
-depth-3 sweeps, and seeded random generators for posets, weight families,
-and trap instances."""
+sweeps, by a canonical form built bottom-up from the two halves' (no group
+or per-automorphism table, so depth 4 costs as little per mask as depth 3),
+and seeded random generators for posets, weight families, and trap
+instances."""
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -16,66 +19,42 @@ from clopenforce.soft import FinitePoset
 # ------------------------------------------------------- tree automorphisms
 
 
-def tree_perms(depth: int) -> list[tuple[int, ...]]:
-    """All leaf permutations induced by automorphisms of the full binary
-    tree: optionally swap the subtrees, then act inside each."""
+@functools.cache
+def canon(depth: int, first: int, second: int) -> tuple[int, int]:
+    """The least (first, second) image under simultaneous tree automorphisms:
+    each half's least image, the smaller on top, as a mask compares by its
+    high half first (the tree-isomorphism codes of Aho, Hopcroft and Ullman)."""
     if depth == 0:
-        return [(0,)]
-    sub = tree_perms(depth - 1)
-    half = 1 << (depth - 1)
-    out = []
-    for g0 in sub:
-        for g1 in sub:
-            for s in (0, 1):
-                perm = [0] * (2 * half)
-                for b0 in (0, 1):
-                    g = g0 if b0 == 0 else g1
-                    for r in range(half):
-                        perm[b0 * half + r] = ((b0 ^ s) * half) + g[r]
-                out.append(tuple(perm))
-    return out
+        return first, second
+    half = 1 << depth - 1
+    (f1, f0), (s1, s0) = divmod(first, 1 << half), divmod(second, 1 << half)
+    high, low = sorted((canon(depth - 1, f0, s0), canon(depth - 1, f1, s1)))
+    return low[0] | high[0] << half, low[1] | high[1] << half
 
 
-def mask_tables(depth: int) -> list[list[int]]:
-    """Per automorphism, the action on every mask (lookup tables)."""
-    size = 1 << (1 << depth)
-    tables = []
-    for perm in tree_perms(depth):
-        bit = [1 << perm[i] for i in range(len(perm))]
-        table = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            table[mask] = table[mask & (mask - 1)] | bit[low.bit_length() - 1]
-        tables.append(table)
-    return tables
+def automorphism(mask: int, depth: int, g: int) -> int:
+    """mask under the tree automorphism swapping the subtrees of the internal
+    nodes set in g: bit 0 the root, then the low subtree's, then the high's."""
+    if depth == 0:
+        return mask
+    half = 1 << depth - 1
+    high, low = divmod(mask, 1 << half)
+    high_g, low_g = divmod(g >> 1, 1 << half - 1)  # half - 1 nodes per subtree
+    low, high = automorphism(low, depth - 1, low_g), automorphism(high, depth - 1, high_g)
+    if g & 1:
+        low, high = high, low
+    return low | high << half
 
 
-class PairOrbits:
-    """Canonical forms of ordered mask pairs under simultaneous tree
-    automorphisms; levels are fixed by every automorphism."""
-
-    def __init__(self, depth: int):
-        self.tables = mask_tables(depth)
-        self._canon: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-    def canon_mask(self, mask: int) -> tuple[int, tuple[int, ...]]:
-        cached = self._canon.get(mask)
-        if cached is None:
-            images = [t[mask] for t in self.tables]
-            best = min(images)
-            movers = tuple(g for g, img in enumerate(images) if img == best)
-            cached = (best, movers)
-            self._canon[mask] = cached
-        return cached
-
-    def canon_pair(self, first: int, second: int) -> tuple[int, int]:
-        best, movers = self.canon_mask(first)
-        return best, min(self.tables[g][second] for g in movers)
-
-    def apply(self, g: int, cond: PCondition) -> PCondition:
-        return PCondition(
-            ClopenSet(cond.B.depth, self.tables[g][cond.B.mask]), cond.n
-        )
+def pair_orbits(conds: list[PCondition]) -> dict[tuple, tuple]:
+    """Each orbit of ordered pairs of conds (levels are fixed by every
+    automorphism), keyed by its canonical form, to its first (b, c)."""
+    reps: dict[tuple, tuple] = {}
+    for b in conds:
+        for c in conds:
+            key = (b.n, c.n, *canon(b.B.depth, b.B.mask, c.B.mask))
+            reps.setdefault(key, (b, c))
+    return reps
 
 
 # ------------------------------------------------------------- generators

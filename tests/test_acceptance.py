@@ -12,9 +12,10 @@ import time
 from fractions import Fraction
 
 from support import (
-    PairOrbits,
+    automorphism,
     chain_heights,
     greedy_max_antichain,
+    pair_orbits,
     random_poset,
     random_shrink_family,
     random_weight_family,
@@ -138,28 +139,18 @@ def test_criterion_4_main_cover_oracle_exhaustive_depth3():
         for b in conds:
             assert p_compatible(a, b) == compat_oracle(a, b)
 
-    orbits = PairOrbits(3)
     # the reduction's premise: the cover construction is equivariant
     rng = random.Random(1004)
     for _ in range(30):
         b, c = rng.choice(conds), rng.choice(conds)
-        g = rng.randrange(len(orbits.tables))
-        k = rng.randint(0, 3)
-        image = {
-            (q.B.mask, q.n)
-            for q in main_cover(orbits.apply(g, b), orbits.apply(g, c), k)
-        }
-        mapped = {
-            (orbits.tables[g][q.B.mask], q.n) for q in main_cover(b, c, k)
-        }
-        assert image == mapped
+        g = rng.randrange(128)  # one swap bit per internal node of the tree
 
-    reps: dict[tuple, tuple] = {}
-    for b in conds:
-        for c in conds:
-            key = (b.n, c.n, *orbits.canon_pair(b.B.mask, c.B.mask))
-            if key not in reps:
-                reps[key] = (b, c)
+        def act(q):
+            return PCondition(ClopenSet(3, automorphism(q.B.mask, 3, g)), q.n)
+        k = rng.randint(0, 3)
+        assert set(main_cover(act(b), act(c), k)) == set(map(act, main_cover(b, c, k)))
+
+    reps = pair_orbits(conds)
     slice_checks = 0
     for idx, (b, c) in enumerate(reps.values()):
         cover3 = main_cover(b, c, 3)

@@ -147,13 +147,17 @@ def test_levelset_mask_mask_out_of_range_raises():
 
 
 def test_dense_mask_out_of_range_raises():
-    for depth in range(1, 7):
+    for mask, depth, level in ((-1, 0, 0), (1 << 99, 2, 2), (-5, 3, 7)):
+        with pytest.raises(ValueError):
+            dense_mask(mask, depth, level)
+    for depth in range(7):
         bad = [1 << (1 << depth), 1 << 70]
         if depth <= 4:  # a negative mask on the node walk: see the next test
             bad += [-1, -(1 << 40)]
         for mask in bad:
-            with pytest.raises(ValueError):
-                dense_mask(mask, depth, 0)
+            for level in {0, depth, depth + 1}:
+                with pytest.raises(ValueError):
+                    dense_mask(mask, depth, level)
         with pytest.raises(ValueError):
             dense_mask(1, depth, -1)
 

@@ -7,9 +7,9 @@ import pytest
 
 import oracle_restated
 from kernel_restated import dense_by_counts, leaves
-from support import PairOrbits, random_pprime_condition
+from support import automorphism, canon, pair_orbits, random_pprime_condition
 
-from clopenforce.cantor import ClopenSet, canonicalize, full_set, positions
+from clopenforce.cantor import ClopenSet, canonicalize, cyl_mask, full_set, positions
 from clopenforce.errors import DepthExhausted, PruneFailed
 from clopenforce.perfectposet import (
     DeskPoset,
@@ -190,14 +190,37 @@ MAIN_COVER_D3_DIGEST = (
 def depth3_pair_orbits():
     """One (b, c) per tree-automorphism orbit of ordered pairs of depth-3
     dense conditions (all commitment levels), in canonical-key order."""
-    conds = enumerate_pprime(3)
-    orbits = PairOrbits(3)
-    reps = {}
-    for b in conds:
-        for c in conds:
-            key = (b.n, c.n, *orbits.canon_pair(b.B.mask, c.B.mask))
-            reps.setdefault(key, (b, c))
-    return [reps[key] for key in sorted(reps)]
+    return [rep for _, rep in sorted(pair_orbits(enumerate_pprime(3)).items())]
+
+
+def test_swap_bits_give_the_128_tree_automorphisms_at_depth3():
+    # the automorphisms are the leaf permutations that keep every cylinder
+    # a cylinder, and there are 2^7 of them
+    cyls = {cyl_mask(3, level, i) for level in range(4) for i in range(1 << level)}
+    for g in range(128):
+        assert {automorphism(m, 3, g) for m in cyls} == cyls
+    assert len({tuple(automorphism(1 << i, 3, g) for i in range(8)) for g in range(128)}) == 128
+
+
+def test_canon_is_the_least_image_and_an_orbit_invariant():
+    rng = random.Random(1100)
+    for depth in (3, 4):
+        for _ in range(300):
+            pair = rng.getrandbits(1 << depth), rng.getrandbits(1 << depth)
+            key = canon(depth, *pair)
+            g = rng.getrandbits((1 << depth) - 1)
+            moved = [automorphism(mask, depth, g) for mask in pair]
+            assert canon(depth, *moved) == key and canon(depth, *key) == key
+            if depth == 3:  # the whole group is small enough to walk
+                images = [[automorphism(m, 3, h) for m in pair] for h in range(128)]
+                assert key == tuple(min(images))
+
+
+def test_condition_orbit_counts():
+    # automorphisms fix levels: an orbit is a level and a mask's canonical form
+    for depth, count in ((3, 67), (4, 586)):
+        orbits = {(q.n, *canon(depth, q.B.mask, 0)) for q in enumerate_pprime(depth, 3)}
+        assert len(orbits) == count
 
 
 def test_main_cover_output_pinned_over_depth3_orbits():
