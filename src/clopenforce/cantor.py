@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable
 
 __all__ = [
     "MAX_DEPTH",
+    "TABLE_DEPTH",
     "ClopenSet",
     "LevelSet",
     "boolean_op",
@@ -31,8 +33,9 @@ __all__ = [
     "node_index",
     "node_bits",
     "parse_clopen",
+    "densities",
     "positions",
-    "projector",
+    "projections",
 ]
 
 
@@ -82,13 +85,29 @@ def cyl_mask(depth: int, level: int, index: int) -> int:
 
 
 def positions(mask: int) -> list[int]:
-    """Indices of the set bits of mask, ascending."""
+    """Indices of the set bits of mask, ascending.
+
+    Set bits are taken one at a time, each step a pass over the mask, while
+    the mask has under 64 bits or at most _WALK_BITS set; otherwise one pass
+    over its bytes reads them all, so no mask costs more than linear time.
+    The byte pass is the faster one beyond about 64 set bits at depths 12 to
+    20.
+    """
+    if mask >= 1 << 64 and mask.bit_count() > _WALK_BITS:
+        data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        return [8 * i + j for i, byte in enumerate(data) if byte for j in _BYTE_BITS[byte]]
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+_WALK_BITS = 64
+_BYTE_BITS = [()]  # the set bits of each byte value, built bit by bit
+for _bit in range(8):
+    _BYTE_BITS += [bits + (_bit,) for bits in _BYTE_BITS]
 
 
 class _Unbuilt:
@@ -154,13 +173,14 @@ def _density_tables(depth: int) -> tuple:
 # _DENSITY[depth][level] are those tables, built on first use of their depth
 # from the tables at depth - 1, whose masks are the two halves of a mask
 # (all of depth 4 in under a millisecond)
-_TABLE_DEPTH = 4
+TABLE_DEPTH = 4
+"""Deepest depth whose projections and densities are byte tables."""
 _PROJECTIONS: list = []
 _PROJECTIONS += [_Unbuilt(_PROJECTIONS, depth, _projection_tables)
-                 for depth in range(_TABLE_DEPTH + 1)]
+                 for depth in range(TABLE_DEPTH + 1)]
 _DENSITY: list = []
 _DENSITY += [_Unbuilt(_DENSITY, depth, _density_tables)
-             for depth in range(_TABLE_DEPTH + 1)]
+             for depth in range(TABLE_DEPTH + 1)]
 # beyond the tables a mask is walked node by node, one pass over the mask
 # per node, for its first _WALK_NODES nodes; the rest is one pass over its
 # bytes, each the depth-3 subtree below a level-(depth-3) node.  The byte
@@ -221,7 +241,7 @@ def levelset_mask(mask: int, depth: int, level: int) -> int:
     """
     if not 0 <= level <= depth:
         raise ValueError("level out of range")
-    if depth <= _TABLE_DEPTH and mask >= 0:
+    if depth <= TABLE_DEPTH and mask >= 0:
         try:
             return _PROJECTIONS[depth][level][mask]
         except IndexError:
@@ -244,19 +264,48 @@ def levelset_mask(mask: int, depth: int, level: int) -> int:
     return out
 
 
-def projector(depth: int, level: int):
-    """levelset_mask(., depth, level) as one callable, for loops that
-    project many masks at one depth and level: a table's `__getitem__` at
-    depth <= 4, the identity at level = depth.  At depth <= 4 masks are not
-    range checked, so pass only submasks of a mask that was."""
+class _Reader:
+    """kernel(., depth, level) read as [mask], for depths beyond the tables."""
+
+    __slots__ = ("kernel", "depth", "level")
+
+    def __init__(self, kernel, depth: int, level: int) -> None:
+        self.kernel, self.depth, self.level = kernel, depth, level
+
+    def __getitem__(self, mask: int):
+        return self.kernel(mask, self.depth, self.level)
+
+
+@cache
+def _readers(kernel, depth: int) -> tuple:
+    """One reader per level; they hold no state, so one tuple serves every
+    caller."""
+    return tuple(_Reader(kernel, depth, level) for level in range(depth + 1))
+
+
+def projections(depth: int) -> tuple:
+    """P with P[level][mask] == levelset_mask(mask, depth, level) for every
+    level 0..depth, for loops that project many masks at one depth: the
+    byte tables themselves at depth <= 4, beyond them readers that call
+    levelset_mask.  A table read is not range checked, so pass only masks
+    of validated conditions or their submasks."""
     check_depth(depth)
-    if not 0 <= level <= depth:
-        raise ValueError("level out of range")
-    if depth <= _TABLE_DEPTH:
-        return _PROJECTIONS[depth][level].__getitem__
-    if level == depth:
-        return lambda mask: mask
-    return lambda mask: levelset_mask(mask, depth, level)
+    if depth > TABLE_DEPTH:
+        return _readers(levelset_mask, depth)
+    _PROJECTIONS[depth][0]  # builds this depth's tables on their first use
+    return _PROJECTIONS[depth]
+
+
+def densities(depth: int) -> tuple:
+    """D with D[level][mask] == dense_mask(mask, depth, level) (1 or 0 from
+    a table) for every level 0..depth, as `projections` is for
+    levelset_mask, and under the same rule: only validated masks or their
+    submasks."""
+    check_depth(depth)
+    if depth > TABLE_DEPTH:
+        return _readers(dense_mask, depth)
+    _DENSITY[depth][0]  # builds this depth's tables on their first use
+    return _DENSITY[depth]
 
 
 def dense_mask(mask: int, depth: int, level: int) -> bool:
@@ -267,7 +316,7 @@ def dense_mask(mask: int, depth: int, level: int) -> bool:
     """
     if level < 0:
         raise ValueError("level out of range")
-    if 0 <= depth <= _TABLE_DEPTH and mask >= 0:
+    if 0 <= depth <= TABLE_DEPTH and mask >= 0:
         try:
             return _DENSITY[depth][level][mask] == 1
         except IndexError:

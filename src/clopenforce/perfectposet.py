@@ -15,15 +15,17 @@ from itertools import groupby
 from typing import Sequence
 
 from .cantor import (
+    TABLE_DEPTH,
     ClopenSet,
     cyl_mask,
     dense_mask,
+    densities,
     density_ok,
     full_set,
     levelset_mask,
     parse_clopen,
     positions,
-    projector,
+    projections,
     clopen_from_json,
     clopen_to_json,
 )
@@ -94,22 +96,23 @@ def p_leq(c1: PCondition, c2: PCondition) -> bool:
     return _leq_masks(c1.B.mask, c1.n, c2.B.mask, c2.n, depth)
 
 
-def _compat_masks(am: int, an: int, bm: int, bn: int, depth: int) -> bool:
+def _compat_masks(am: int, an: int, bm: int, bn: int, P: tuple) -> bool:
     """Closed form: with an >= bn, the traces at bn agree and every committed
-    node of the finer condition keeps joint mass.  Frozen after exhaustive
-    agreement with `compat_oracle` (the oracle is normative)."""
+    node of the finer condition keeps joint mass.  P is the depth's
+    `projections`.  Frozen after exhaustive agreement with `compat_oracle`
+    (the oracle is normative)."""
     if an < bn:
         am, an, bm, bn = bm, bn, am, an
-    if levelset_mask(am, depth, bn) != levelset_mask(bm, depth, bn):
+    if P[bn][am] != P[bn][bm]:
         return False
     # am & bm lies inside am, so its level-an trace is am's exactly when
     # every committed node of am meets bm
-    return levelset_mask(am & bm, depth, an) == levelset_mask(am, depth, an)
+    return P[an][am & bm] == P[an][am]
 
 
 def p_compatible(c1: PCondition, c2: PCondition) -> bool:
     depth = _same_depth(c1, c2)
-    return _compat_masks(c1.B.mask, c1.n, c2.B.mask, c2.n, depth)
+    return _compat_masks(c1.B.mask, c1.n, c2.B.mask, c2.n, projections(depth))
 
 
 def compat_oracle(c1: PCondition, c2: PCondition) -> bool:
@@ -123,18 +126,13 @@ def compat_oracle(c1: PCondition, c2: PCondition) -> bool:
     inter = c1.B.mask & c2.B.mask
     if inter.bit_count() > 24:
         raise ValueError("oracle restricted to intersections of <= 24 nodes")
-    lv1 = levelset_mask(c1.B.mask, depth, c1.n)
-    lv2 = levelset_mask(c2.B.mask, depth, c2.n)
+    P = projections(depth)
+    at1, at2 = P[c1.n], P[c2.n]
+    lv1, lv2 = at1[c1.B.mask], at2[c2.B.mask]
     e = inter
-    while True:
-        if e != 0:
-            if (
-                levelset_mask(e, depth, c1.n) == lv1
-                and levelset_mask(e, depth, c2.n) == lv2
-            ):
-                return True
-        if e == 0:
-            break
+    while e:
+        if at1[e] == lv1 and at2[e] == lv2:
+            return True
         e = (e - 1) & inter
     return False
 
@@ -205,43 +203,44 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
         raise DepthExhausted(f"height bound {k} exceeds depth {depth}")
     n, m = b.n, c.n
     bmask, cmask = b.B.mask, c.B.mask
-    trace_b_n = levelset_mask(bmask, depth, n)
-    trace_c_m = levelset_mask(cmask, depth, m)
+    # table reads skip the range check: every u is a submask of c's mask
+    P, D = projections(depth), densities(depth)
+    at_m = P[m]
+    trace_b_n, trace_c_m = P[n][bmask], at_m[cmask]
     found: set[tuple[int, int]] = set()
 
     for ell in range(m, k + 1):
         s, fine = min(ell, n), max(ell, n)
-        trace_b_s = levelset_mask(bmask, depth, s)
-        # projectors skip the range check: every u is a submask of c's mask
-        at_m, at_s, at_fine = (projector(depth, lv) for lv in (m, s, fine))
+        at_s, at_fine, dense = P[s], P[fine], D[ell]
+        trace_b_s = at_s[bmask]
+        # the level-fine nodes below which c has mass outside b
+        has_special = at_fine[cmask & ~bmask]
         shift = depth - fine
         block = (1 << (1 << shift)) - 1
         for level in (ell,) if ell >= n else (n, ell):
             # U[0], the empty union, misses c's trace and is skipped
             for u in _subset_dp(cmask, depth, level):
-                if at_m(u) != trace_c_m:
+                if at_m[u] != trace_c_m:
                     continue
-                if at_s(u) != trace_b_s:
+                if at_s[u] != trace_b_s:
                     # family A: the trace at s disagrees with b's
-                    if level == ell and dense_mask(u, depth, ell):
+                    if level == ell and dense[u]:
                         found.add((ell, u))
                     continue
                 if level != fine:
                     continue
                 # family B: the trace at s agrees; miss a committed node or cut it
-                nodes = at_fine(u)
+                nodes = at_fine[u]
                 committed = trace_b_n if ell < n else nodes
                 if nodes & committed != committed:
-                    if dense_mask(u, depth, ell):
+                    if dense[u]:
                         found.add((ell, u))
                     continue
-                for t in positions(committed):
+                for t in positions(committed & has_special):
                     cyl = block << (t << shift)
-                    special = cmask & cyl & ~bmask
-                    if special:
-                        cand = (u & ~cyl) | special
-                        if dense_mask(cand, depth, ell):
-                            found.add((ell, cand))
+                    cand = (u & ~cyl) | (cmask & cyl & ~bmask)
+                    if dense[cand]:
+                        found.add((ell, cand))
     return [PCondition(ClopenSet(depth, mask), ell) for ell, mask in sorted(found)]
 
 
@@ -295,30 +294,56 @@ def _node_table(leaves: list[int], depth: int, level: int, least: int,
     return table
 
 
+class _Recent:
+    """A reader of one level's projections that remembers its last two
+    masks and their values.  Beyond the kernel's tables every read is a
+    kernel call, and in the oracle's walk every other read at a level is
+    of b's mask or of the e just read."""
+
+    __slots__ = ("read", "last", "before")
+
+    def __init__(self, read) -> None:
+        self.read = read
+        self.last = self.before = (-1, None)
+
+    def __getitem__(self, mask: int):
+        last = self.last
+        if mask == last[0]:
+            return last[1]
+        if mask == self.before[0]:
+            self.last, self.before = self.before, last
+        else:
+            self.last, self.before = (mask, self.read[mask]), last
+        return self.last[1]
+
+
 def cover_oracle(
     b: PCondition, c: PCondition, k: int, members: Sequence[PCondition]
 ) -> OracleReport:
     """Exhaustively audit a claimed cover.
 
     Every dense-part condition below c that is incompatible with b and of
-    height <= k must extend some member, and every member must itself sit
-    below c and be incompatible with b.  Enumerates all submasks of c's
-    set, so desk scale only: more than MAX_TABLE_NODES leaves in c is a
-    ValueError.
+    height <= k must extend some member, and every member must itself be a
+    dense-part condition of height <= k below c that is incompatible with
+    b.  Enumerates all submasks of c's set, so desk scale only: more than
+    MAX_TABLE_NODES leaves in c is a ValueError.
 
-    A submask e of c is walked with its index x over c's leaves (bit i of x
-    is c's i-th leaf), so e falls as x falls.  Byte tables over x say
-    whether e meets every level-m node of c and whether e is dense at each
-    height m..k, so no submask is projected for them.  Members are bucketed
-    by level and trace once, and each e is looked up level by level from m
-    only until a member above it turns up, however many heights it is
-    checked at.
+    The submasks e of c are walked by mask, e = (e - 1) & c, descending.
+    Whether e meets every level-m node of c and whether it is dense at each
+    height m..k are table reads, so no submask is projected for them.  At
+    depth <= TABLE_DEPTH they are the kernel's own tables (`projections`,
+    `densities`), read at e.  Beyond it they are byte tables built once per
+    call by `_node_table`, read at e's index over c's leaves, which falls
+    by one as e falls: tables keyed by mask would hold every submask, each
+    of up to 2^depth bits.  Members are bucketed by level and trace once,
+    and each e is looked up level by level from m only until a member above
+    it turns up, however many heights it is checked at.
 
     Chain of trust: incompatibility with b is decided by the closed form
     `_compat_masks`, which `compat_oracle` audits exhaustively at depth 3
-    (every pair with n <= 2) and by sampling at depth 4.  Nothing else is
-    shared with `main_cover`.  `tests/oracle_restated.py` keeps the naive
-    walk that this one must equal, report for report.
+    (every pair with n <= 2) and by sampling at depth 4.  Nothing else but
+    the bit kernel is shared with `main_cover`.  `tests/oracle_restated.py`
+    keeps the naive walk that this one must equal, report for report.
     """
     depth = _same_depth(b, c)
     m, cmask = c.n, c.B.mask
@@ -326,9 +351,14 @@ def cover_oracle(
     if cmask.bit_count() > MAX_TABLE_NODES:
         raise ValueError(f"{cmask.bit_count()} leaves in c: the oracle's tables "
                          f"stop at {MAX_TABLE_NODES}")
-    leaves = positions(cmask)
     kk = min(k, depth)
-    lv_c_m = levelset_mask(cmask, depth, m)
+    # table reads skip the range check: members are validated conditions
+    # and every e is a submask of c's mask
+    P, D = projections(depth), densities(depth)
+    by_mask = depth <= TABLE_DEPTH
+    if not by_mask:
+        P = tuple(map(_Recent, P))
+    lv_c_m = P[m][cmask]
 
     bad_members = []
     # per level m..kk: trace -> the complements of the members' masks
@@ -337,50 +367,54 @@ def cover_oracle(
         _same_depth(q, c)
         qm, qn = q.B.mask, q.n
         if (
-            qn < m
+            not m <= qn <= k
+            or not D[qn][qm]
             or qm & ~cmask
-            or levelset_mask(qm, depth, m) != lv_c_m
-            or _compat_masks(qm, qn, bmask, n, depth)
+            or P[m][qm] != lv_c_m
+            or _compat_masks(qm, qn, bmask, n, P)
         ):
             bad_members.append(q)
         if m <= qn <= kk:
-            key = levelset_mask(qm, depth, qn)
-            buckets[qn - m].setdefault(key, []).append(~qm)
+            buckets[qn - m].setdefault(P[qn][qm], []).append(~qm)
     if kk < m:
         return OracleReport(tuple(bad_members), (), 0)
 
-    met = _node_table(leaves, depth, m, 1, False)
-    # at ell >= depth - 1 any nonempty node is dense: `least` is 1 or 0
-    dense = [
-        _node_table(leaves, depth, ell, (1 << depth - ell) // 2, True)
-        for ell in range(m, kk + 1)
-    ]
+    if by_mask:
+        at_m, dense = P[m], D[m:kk + 1]
+    else:
+        # read at e's index x over c's leaves: bit i of x is c's i-th leaf
+        leaves = positions(cmask)
+        met = _node_table(leaves, depth, m, 1, False)
+        at_m = [lv_c_m if t else None for t in met]  # c's trace where met
+        # at ell >= depth - 1 any nonempty node is dense: `least` is 1 or 0
+        dense = [
+            _node_table(leaves, depth, ell, (1 << depth - ell) // 2, True)
+            for ell in range(m, kk + 1)
+        ]
 
-    # projectors skip the range check: every e is a submask of c's mask
-    at = [projector(depth, level) for level in range(m, kk + 1)]
     uncovered: list[PCondition] = []
     checked = 0
-    e = cmask
-    for x in range(len(met) - 1, 0, -1):
-        if met[x]:
+    e, x = cmask, (1 << cmask.bit_count()) - 1
+    while e:
+        key = e if by_mask else x
+        if at_m[key] == lv_c_m:
             covered = False
             scanned = m  # the next level to look for a member above e at
             for ell, table in enumerate(dense, m):
-                if not table[x]:
+                if not table[key]:
                     continue
-                if _compat_masks(e, ell, bmask, n, depth):
+                if _compat_masks(e, ell, bmask, n, P):
                     continue
                 checked += 1
                 while not covered and scanned <= ell:
-                    bucket = buckets[scanned - m]
-                    for above in bucket.get(at[scanned - m](e), ()):
+                    for above in buckets[scanned - m].get(P[scanned][e], ()):
                         if not e & above:
                             covered = True
                             break
                     scanned += 1
                 if not covered:
                     uncovered.append(PCondition(ClopenSet(depth, e), ell))
-        e = (e - 1) & cmask
+        e, x = (e - 1) & cmask, x - 1
     return OracleReport(tuple(bad_members), tuple(uncovered), checked)
 
 

@@ -2,25 +2,29 @@
 `perfectposet.cover_oracle`.
 
 This is the body `perfectposet.cover_oracle` had before it became
-table-driven, unchanged.  It walks every submask e of c's set, re-projects e
+table-driven.  It walks every submask e of c's set, re-projects e
 to every level and re-runs the density predicate for every height, then
 scans the members of the matching (level, trace) buckets one by one.  It
 shares only the bit kernel and the closed forms of order and compatibility
 with the table-driven oracle, which must return an equal `OracleReport`:
 the same bad members, the same uncovered conditions in the same order (e
 descending, then height ascending) and the same checked count.
+
+One rule was added to the old body: a good member must also be a
+dense-part condition of height at most k (`in_pprime(q) and q.n <= k`).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from clopenforce.cantor import ClopenSet, dense_mask, levelset_mask
+from clopenforce.cantor import ClopenSet, dense_mask, levelset_mask, projections
 from clopenforce.perfectposet import (
     OracleReport,
     PCondition,
     _compat_masks,
     _same_depth,
+    in_pprime,
     p_compatible,
     p_leq,
 )
@@ -38,7 +42,8 @@ def cover_oracle(
     """
     depth = _same_depth(b, c)
     bad_members = tuple(
-        q for q in members if not (p_leq(q, c) and not p_compatible(q, b))
+        q for q in members
+        if not (in_pprime(q) and q.n <= k and p_leq(q, c) and not p_compatible(q, b))
     )
     kk = min(k, depth)
     m = c.n
@@ -60,7 +65,7 @@ def cover_oracle(
             for ell in range(m, kk + 1):
                 if not dense_mask(e, depth, ell):
                     continue
-                if _compat_masks(e, ell, bmask, n, depth):
+                if _compat_masks(e, ell, bmask, n, projections(depth)):
                     continue
                 checked += 1
                 if not any(

@@ -22,6 +22,7 @@ from clopenforce.cantor import (
     cyl_mask,
     cylinder_meet,
     dense_mask,
+    densities,
     density_ok,
     full_set,
     level_set,
@@ -29,7 +30,7 @@ from clopenforce.cantor import (
     measure,
     parse_clopen,
     positions,
-    projector,
+    projections,
 )
 
 
@@ -68,16 +69,28 @@ def test_density_predicate_matches_node_counts():
             assert density_ok(ClopenSet(depth, mask), level) == want
 
 
-def test_projector_matches_levelset_mask():
+def test_table_readers_match_the_kernel():
+    # every mask at depth <= 4 (all 2^16 at depth 4), seeded ones at depths 5
+    # and 6, at every level
     rng = random.Random(6)
-    cases = list(_kernel_cases()) + [(rng.getrandbits(64), 6) for _ in range(100)]
-    cases += [(1 << rng.randrange(64) | 1 << rng.randrange(64), 6) for _ in range(100)]
-    for mask, depth in cases:
+    cases = [(depth, range(1 << (1 << depth))) for depth in range(5)]
+    for depth in (5, 6):
+        size = 1 << depth
+        sample = [rng.getrandbits(size) for _ in range(100)]
+        sample += [1 << rng.randrange(size) | 1 << rng.randrange(size) for _ in range(100)]
+        cases.append((depth, sample + [0, (1 << size) - 1]))
+    for depth, masks in cases:
+        P, D = projections(depth), densities(depth)
+        assert len(P) == len(D) == depth + 1
         for level in range(depth + 1):
-            assert projector(depth, level)(mask) == levelset_mask(mask, depth, level)
-    for depth, level in ((4, -1), (4, 5), (MAX_DEPTH + 1, 0)):
-        with pytest.raises(ValueError):
-            projector(depth, level)
+            at, dense = P[level], D[level]
+            for mask in masks:
+                assert at[mask] == levelset_mask(mask, depth, level), (mask, depth, level)
+                assert dense[mask] == dense_mask(mask, depth, level), (mask, depth, level)
+    for depth in (-1, MAX_DEPTH + 1):
+        for tables in (projections, densities):
+            with pytest.raises(ValueError):
+                tables(depth)
 
 
 def _deep_cases(rng, depth):
@@ -208,10 +221,29 @@ def test_depth_bound():
 
 
 def test_positions_matches_bin():
+    # 0, single bits, seeded masks of 63 to 65 bits (where the bit walk hands
+    # over to the byte pass) and of any density, and full masks, to depth 20
     rng = random.Random(5)
-    for mask in [0, 1, 2, 0b1011] + [rng.getrandbits(70) for _ in range(200)]:
-        want = [i for i, ch in enumerate(reversed(bin(mask)[2:])) if ch == "1"]
+    masks = [0, 1, 2, 0b1011] + [rng.getrandbits(70) for _ in range(200)]
+    for depth in range(21):
+        size = 1 << depth
+        masks += [1 << rng.randrange(size), 1 << size - 1, (1 << size) - 1]
+        masks.append(rng.getrandbits(size))
+        for count in (63, 64, 65):
+            if count < size:
+                masks.append(sum(1 << i for i in rng.sample(range(size), count)))
+    for mask in masks:
+        want = [i for i, ch in enumerate(bin(mask)[:1:-1]) if ch == "1"]
         assert positions(mask) == want
+
+
+def test_positions_is_linear_in_the_mask():
+    # a full half of the tree at depth 20 took 1.5 s at depth 18 when each
+    # set bit cost a pass over the whole mask
+    start = time.perf_counter()
+    assert len(positions(cyl_mask(20, 1, 0))) == 1 << 19
+    assert positions(cyl_mask(20, 1, 1))[0] == 1 << 19
+    assert time.perf_counter() - start < 1
 
 
 def test_cyl_mask_blocks():

@@ -9,7 +9,15 @@ import oracle_restated
 from kernel_restated import dense_by_counts, leaves
 from support import automorphism, canon, pair_orbits, random_pprime_condition
 
-from clopenforce.cantor import ClopenSet, canonicalize, cyl_mask, full_set, positions
+from clopenforce import perfectposet
+from clopenforce.cantor import (
+    ClopenSet,
+    canonicalize,
+    cyl_mask,
+    full_set,
+    levelset_mask,
+    positions,
+)
 from clopenforce.errors import DepthExhausted, PruneFailed
 from clopenforce.perfectposet import (
     DeskPoset,
@@ -280,12 +288,50 @@ def test_cover_oracle_equals_restatement_depth4_sample():
             assert assert_oracles_agree(b, c, k, main_cover(b, c, k)).ok
 
 
+def small_dense_condition(rng, depth, n, max_leaves):
+    """A seeded dense condition of height n with at most max_leaves leaves:
+    some level-n nodes, each given the half of its cylinder it needs, then
+    a few more leaves below them."""
+    width = 1 << depth - n
+    need = max(1, width // 2)
+    nodes = rng.sample(range(1 << n), rng.randint(1, min(1 << n, max_leaves // need)))
+    mask = 0
+    for j in nodes:
+        for leaf in rng.sample(range(width), need):
+            mask |= 1 << j * width + leaf
+    for _ in range(rng.randint(0, max_leaves - mask.bit_count())):
+        mask |= 1 << rng.choice(nodes) * width + rng.randrange(width)
+    return PCondition(ClopenSet(depth, mask), n)
+
+
+def depth5_pairs(rng, count):
+    """Seeded depth-5 (b, c) pairs of dense conditions, past the kernel's
+    tables, where the oracle tabulates its own: c of every height 1..5 with
+    at most 10 leaves (height 0 needs 16), b of every height with at most
+    16."""
+    return [
+        (small_dense_condition(rng, 5, rng.randint(0, 5), 16),
+         small_dense_condition(rng, 5, 1 + i % 5, 10))
+        for i in range(count)
+    ]
+
+
+def test_cover_oracle_equals_restatement_depth5_sample():
+    checked = Counter()
+    for b, c in depth5_pairs(random.Random(55), 40):
+        for k in range(c.n, 6):
+            checked[k] += assert_oracles_agree(b, c, k, main_cover(b, c, k)).checked
+    assert sorted(checked) == [1, 2, 3, 4, 5] and all(checked.values())
+
+
 def mutation_cases():
-    """Seeded (b, c, k, cover) audits at depth 3 and 4 with a nonempty cover."""
+    """Seeded (b, c, k, cover) audits at depths 3, 4 and 5 with a nonempty
+    cover."""
     rng = random.Random(808)
     conds = enumerate_pprime(3)
     pairs = [(rng.choice(conds), rng.choice(conds)) for _ in range(300)]
     pairs += depth4_pairs(rng, 6)
+    pairs += depth5_pairs(random.Random(505), 40)
     for b, c in pairs:
         k = rng.randint(c.n, c.depth)
         cover = main_cover(b, c, k)
@@ -295,14 +341,14 @@ def mutation_cases():
 
 def test_cover_oracle_reports_a_dropped_member():
     # dropping a member that extends no other one leaves it uncovered
-    seen = 0
+    seen = Counter()
     for rng, b, c, k, cover in mutation_cases():
         tops = [q for q in cover if not any(p_leq(q, r) for r in cover if r != q)]
         gone = rng.choice(tops)
         report = assert_oracles_agree(b, c, k, [q for q in cover if q != gone])
         assert gone in report.uncovered and not report.bad_members
-        seen += 1
-    assert seen >= 100
+        seen[c.depth] += 1
+    assert sum(seen.values()) >= 100 and seen[5] >= 10
 
 
 def test_cover_oracle_reports_a_compatible_member():
@@ -330,6 +376,64 @@ def test_cover_oracle_reports_a_member_outside_c():
         assert report.bad_members == (moved,)
         seen += 1
     assert seen >= 100
+
+
+def test_cover_oracle_reports_a_member_outside_the_dense_part():
+    # one committed node of a member keeps a single leaf: the trace stands,
+    # the density goes
+    seen = 0
+    for rng, b, c, k, cover in mutation_cases():
+        depth = c.depth
+        thick = [q for q in cover if q.n <= depth - 2]
+        if not thick:
+            continue
+        at = cover.index(rng.choice(thick))
+        q = cover[at]
+        node = cyl_mask(depth, q.n, rng.choice(positions(levelset_mask(q.B.mask, depth, q.n))))
+        below = q.B.mask & node
+        thin = PCondition(ClopenSet(depth, q.B.mask & ~node | below & -below), q.n)
+        assert not in_pprime(thin)
+        report = assert_oracles_agree(b, c, k, cover[:at] + [thin] + cover[at + 1:])
+        assert thin in report.bad_members
+        seen += 1
+    assert seen >= 100
+
+
+def test_cover_oracle_reports_a_member_above_height_k():
+    # a member pruned to be dense one level above k
+    seen = 0
+    for rng, b, c, k, cover in mutation_cases():
+        if k == c.depth:
+            continue
+        at = rng.randrange(len(cover))
+        q = prune_to_dense(cover[at].B, k + 1)
+        report = assert_oracles_agree(b, c, k, cover[:at] + [q] + cover[at + 1:])
+        assert q in report.bad_members
+        seen += 1
+    assert seen >= 100
+
+
+def test_depth4_cover_oracle_projects_no_submask(monkeypatch):
+    # the walk reads the kernel's tables: calls to levelset_mask stay within
+    # one per member, however many submasks c has
+    b = cond(["00", "011", "101", "110"], 4, 2)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return levelset_mask(*args)
+
+    for c in (cond(["00", "01", "10", "1100"], 4, 1), top_condition(4)):
+        assert c.B.mask.bit_count() >= 12
+        cover = main_cover(b, c, 4)
+        for members in (cover, cover[:10]):
+            calls = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(perfectposet, "levelset_mask", counted)
+                report = cover_oracle(b, c, 4, members)
+            assert report.checked > 1 << 12
+            assert calls <= len(members), (c, len(members), calls)
 
 
 def test_iterate_cover_examples():
