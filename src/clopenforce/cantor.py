@@ -110,77 +110,12 @@ for _bit in range(8):
     _BYTE_BITS += [bits + (_bit,) for bits in _BYTE_BITS]
 
 
-class _Unbuilt:
-    """Holds the place of one depth's tables in `tables` until the first
-    read, which builds them and puts them in its place: later reads are
-    plain list and tuple subscripts."""
-
-    def __init__(self, tables: list, depth: int, build) -> None:
-        self.tables, self.depth, self.build = tables, depth, build
-
-    def __getitem__(self, level: int):
-        built = self.tables[self.depth] = self.build(self.depth)
-        return built[level]
-
-
-def _projection_tables(depth: int) -> tuple:
-    """levelset_mask(x, depth, level) for every mask x, one table per level.
-
-    Level 0 is "x is nonempty" and level = depth is x itself.  In between,
-    x's level-l trace is its halves' level-(l-1) traces side by side, so row
-    `hi` (the masks whose high half is hi) is the low halves' table with
-    hi's trace OR-ed into every entry: one `translate` per distinct trace.
-    """
-    size = 1 << (1 << depth)
-    tables = [b"\0" + b"\1" * (size - 1)] if depth else []
-    for level in range(1, depth):
-        t = _PROJECTIONS[depth - 1][level - 1]
-        shift = 1 << level - 1
-        rows = {v: t.translate(bytes(x | v << shift for x in range(256)))
-                for v in set(t)}
-        tables.append(b"".join(rows[v] for v in t))
-    # the identity; at depth 4 a range, which still raises IndexError on a
-    # mask too large for it
-    tables.append(bytes(range(size)) if size <= 256 else range(size))
-    return tuple(tables)
-
-
-def _density_tables(depth: int) -> tuple:
-    """dense_mask(x, depth, level) for every mask x, one table per level.
-
-    Below depth, level 0 is "x is empty or holds half the leaves", counted
-    as the two halves' leaf counts.  At level l >= 1 both halves must be
-    dense at l - 1, so row `hi` is the low halves' table or zeros.  At
-    level = depth every mask is dense: all ones, which still raises
-    IndexError on a mask too large for it.
-    """
-    tables = []
-    if depth:
-        need = 1 << depth - 1
-        counts = [x.bit_count() for x in range(1 << need)]  # leaves of one half
-        rows = {c: bytes(c + low >= need for low in counts) for c in set(counts)}
-        tables.append(b"\1" + b"".join(rows[c] for c in counts)[1:])
-    for level in range(1, depth):
-        t = _DENSITY[depth - 1][level - 1]
-        zeros = bytes(len(t))
-        tables.append(b"".join(t if v else zeros for v in t))
-    tables.append(b"\1" * (1 << (1 << depth)))
-    return tuple(tables)
-
-
 # at depth <= 4 a mask has at most 16 bits, so every projection and density
-# test is one table read: _PROJECTIONS[depth][level] and
-# _DENSITY[depth][level] are those tables, built on first use of their depth
-# from the tables at depth - 1, whose masks are the two halves of a mask
-# (all of depth 4 in under a millisecond)
+# test is one read of a byte table, built on first use of its depth from the
+# tables at depth - 1, whose masks are the two halves of a mask (all of
+# depth 4 in under a millisecond)
 TABLE_DEPTH = 4
 """Deepest depth whose projections and densities are byte tables."""
-_PROJECTIONS: list = []
-_PROJECTIONS += [_Unbuilt(_PROJECTIONS, depth, _projection_tables)
-                 for depth in range(TABLE_DEPTH + 1)]
-_DENSITY: list = []
-_DENSITY += [_Unbuilt(_DENSITY, depth, _density_tables)
-             for depth in range(TABLE_DEPTH + 1)]
 # beyond the tables a mask is walked node by node, one pass over the mask
 # per node, for its first _WALK_NODES nodes; the rest is one pass over its
 # bytes, each the depth-3 subtree below a level-(depth-3) node.  The byte
@@ -188,6 +123,76 @@ _DENSITY += [_Unbuilt(_DENSITY, depth, _density_tables)
 # so sparse masks keep the walk and no mask costs more than linear time.
 _WALK_NODES = 16
 _BYTE_DEPTH = 3
+
+
+@cache
+def projections(depth: int) -> tuple:
+    """P with P[level][mask] == levelset_mask(mask, depth, level) for every
+    level 0..depth, for loops that project many masks at one depth: byte
+    tables at depth <= 4, beyond them readers over the node walk.  A read
+    is not range checked, so pass only masks of validated conditions or
+    their submasks.
+
+    In the tables level 0 is "x is nonempty" and level = depth is x itself.
+    In between, x's level-l trace is its halves' level-(l-1) traces side by
+    side, so row `hi` (the masks whose high half is hi) is the low halves'
+    table with hi's trace OR-ed into every entry: one `translate` per
+    distinct trace.
+    """
+    check_depth(depth)
+    if depth > TABLE_DEPTH:
+        return tuple(_Reader(_project, depth, level) for level in range(depth + 1))
+    size = 1 << (1 << depth)
+    tables = [b"\0" + b"\1" * (size - 1)] if depth else []
+    for level in range(1, depth):
+        t = projections(depth - 1)[level - 1]
+        shift = 1 << level - 1
+        rows = {v: t.translate(bytes(x | v << shift for x in range(256)))
+                for v in set(t)}
+        tables.append(b"".join(rows[v] for v in t))
+    tables.append(bytes(range(size)) if size <= 256 else range(size))  # identity
+    return tuple(tables)
+
+
+@cache
+def densities(depth: int) -> tuple:
+    """D with D[level][mask] == dense_mask(mask, depth, level) (1 or 0 from
+    a table) for every level 0..depth, as `projections` is for
+    levelset_mask, and under the same rule: only validated masks or their
+    submasks.
+
+    In the tables, below depth, level 0 is "x is empty or holds half the
+    leaves", counted as the two halves' leaf counts.  At level l >= 1 both
+    halves must be dense at l - 1, so row `hi` is the low halves' table or
+    zeros.  At level = depth every mask is dense.
+    """
+    check_depth(depth)
+    if depth > TABLE_DEPTH:
+        return tuple(_Reader(_dense, depth, level) for level in range(depth + 1))
+    tables = []
+    if depth:
+        need = 1 << depth - 1
+        counts = [x.bit_count() for x in range(1 << need)]  # leaves of one half
+        rows = {c: bytes(c + low >= need for low in counts) for c in set(counts)}
+        tables.append(b"\1" + b"".join(rows[c] for c in counts)[1:])
+    for level in range(1, depth):
+        t = densities(depth - 1)[level - 1]
+        zeros = bytes(len(t))
+        tables.append(b"".join(t if v else zeros for v in t))
+    tables.append(b"\1" * (1 << (1 << depth)))
+    return tuple(tables)
+
+
+class _Reader:
+    """kernel(., depth, level) read as [mask], for depths beyond the tables."""
+
+    __slots__ = ("kernel", "depth", "level")
+
+    def __init__(self, kernel, depth: int, level: int) -> None:
+        self.kernel, self.depth, self.level = kernel, depth, level
+
+    def __getitem__(self, mask: int):
+        return self.kernel(mask, self.depth, self.level)
 
 
 def _pack(values: bytes, width: int) -> int:
@@ -206,48 +211,8 @@ def _pack(values: bytes, width: int) -> int:
     return int.from_bytes(x.to_bytes(len(values), "little")[:: 8 // width], "little")
 
 
-def _project_bytes(mask: int, depth: int, level: int) -> int:
-    """levelset_mask in one pass over mask's bytes (level < depth)."""
-    data = mask.to_bytes(1 << depth - _BYTE_DEPTH, "little")
-    up = depth - level
-    if up <= _BYTE_DEPTH:
-        sub = _BYTE_DEPTH - up
-        return _pack(data.translate(_PROJECTIONS[_BYTE_DEPTH][sub]), 1 << sub)
-    # coarser: project the set of nonempty subtrees, a depth-3-shallower mask
-    nonempty = _pack(data.translate(_PROJECTIONS[_BYTE_DEPTH][0]), 1)
-    return levelset_mask(nonempty, depth - _BYTE_DEPTH, level)
-
-
-def _dense_bytes(mask: int, depth: int, level: int) -> bool:
-    """dense_mask in one pass over mask's bytes (level < depth)."""
-    data = mask.to_bytes(1 << depth - _BYTE_DEPTH, "little")
-    up = depth - level
-    if up <= _BYTE_DEPTH:
-        # a byte's level-(3 - up) nodes are level-`level` nodes of the tree
-        # and need as many leaves
-        return 0 not in data.translate(_DENSITY[_BYTE_DEPTH][_BYTE_DEPTH - up])
-    need = 1 << up - 1
-    width = 1 << up - _BYTE_DEPTH  # bytes per node
-    return not any(
-        0 < int.from_bytes(data[i:i + width], "little").bit_count() < need
-        for i in range(0, len(data), width)
-    )
-
-
-def levelset_mask(mask: int, depth: int, level: int) -> int:
-    """Project a depth-level mask to the set of its length-`level` prefixes.
-
-    A mask outside 0 <= mask < 2^(2^depth) is a ValueError.
-    """
-    if not 0 <= level <= depth:
-        raise ValueError("level out of range")
-    if depth <= TABLE_DEPTH and mask >= 0:
-        try:
-            return _PROJECTIONS[depth][level][mask]
-        except IndexError:
-            pass  # too large for the table: rejected below
-    if depth > MAX_DEPTH or mask < 0 or mask >> (1 << depth):
-        raise ValueError("mask out of range for depth")
+def _project(mask: int, depth: int, level: int) -> int:
+    """levelset_mask beyond the tables, unchecked."""
     if level == depth:
         return mask
     shift = depth - level
@@ -264,64 +229,20 @@ def levelset_mask(mask: int, depth: int, level: int) -> int:
     return out
 
 
-class _Reader:
-    """kernel(., depth, level) read as [mask], for depths beyond the tables."""
-
-    __slots__ = ("kernel", "depth", "level")
-
-    def __init__(self, kernel, depth: int, level: int) -> None:
-        self.kernel, self.depth, self.level = kernel, depth, level
-
-    def __getitem__(self, mask: int):
-        return self.kernel(mask, self.depth, self.level)
-
-
-@cache
-def _readers(kernel, depth: int) -> tuple:
-    """One reader per level; they hold no state, so one tuple serves every
-    caller."""
-    return tuple(_Reader(kernel, depth, level) for level in range(depth + 1))
+def _project_bytes(mask: int, depth: int, level: int) -> int:
+    """_project in one pass over mask's bytes (level < depth)."""
+    data = mask.to_bytes(1 << depth - _BYTE_DEPTH, "little")
+    up = depth - level
+    if up <= _BYTE_DEPTH:
+        sub = _BYTE_DEPTH - up
+        return _pack(data.translate(projections(_BYTE_DEPTH)[sub]), 1 << sub)
+    # coarser: project the set of nonempty subtrees, a depth-3-shallower mask
+    nonempty = _pack(data.translate(projections(_BYTE_DEPTH)[0]), 1)
+    return projections(depth - _BYTE_DEPTH)[level][nonempty]
 
 
-def projections(depth: int) -> tuple:
-    """P with P[level][mask] == levelset_mask(mask, depth, level) for every
-    level 0..depth, for loops that project many masks at one depth: the
-    byte tables themselves at depth <= 4, beyond them readers that call
-    levelset_mask.  A table read is not range checked, so pass only masks
-    of validated conditions or their submasks."""
-    check_depth(depth)
-    if depth > TABLE_DEPTH:
-        return _readers(levelset_mask, depth)
-    _PROJECTIONS[depth][0]  # builds this depth's tables on their first use
-    return _PROJECTIONS[depth]
-
-
-def densities(depth: int) -> tuple:
-    """D with D[level][mask] == dense_mask(mask, depth, level) (1 or 0 from
-    a table) for every level 0..depth, as `projections` is for
-    levelset_mask, and under the same rule: only validated masks or their
-    submasks."""
-    check_depth(depth)
-    if depth > TABLE_DEPTH:
-        return _readers(dense_mask, depth)
-    _DENSITY[depth][0]  # builds this depth's tables on their first use
-    return _DENSITY[depth]
-
-
-def dense_mask(mask: int, depth: int, level: int) -> bool:
-    """Every level-`level` node of mask keeps at least half its cylinder,
-    i.e. measure at least 2^-(level+1).  True from level = depth on.
-
-    A mask outside 0 <= mask < 2^(2^depth) is a ValueError at every level.
-    """
-    if level < 0:
-        raise ValueError("level out of range")
-    if 0 <= depth <= TABLE_DEPTH and mask >= 0:
-        try:
-            return _DENSITY[depth][level][mask] == 1
-        except IndexError:
-            pass  # too large for the table, or level > depth: checked below
-    levelset_mask(mask, depth, depth)  # raises on a mask out of range
+def _dense(mask: int, depth: int, level: int) -> bool:
+    """dense_mask beyond the tables, unchecked."""
     if level >= depth:
         return True
     up = depth - level
@@ -337,6 +258,51 @@ def dense_mask(mask: int, depth: int, level: int) -> bool:
             return False
         mask &= -1 << (j + 1 << up)
     return True
+
+
+def _dense_bytes(mask: int, depth: int, level: int) -> bool:
+    """_dense in one pass over mask's bytes (level < depth)."""
+    data = mask.to_bytes(1 << depth - _BYTE_DEPTH, "little")
+    up = depth - level
+    if up <= _BYTE_DEPTH:
+        # a byte's level-(3 - up) nodes are level-`level` nodes of the tree
+        # and need as many leaves
+        return 0 not in data.translate(densities(_BYTE_DEPTH)[_BYTE_DEPTH - up])
+    need = 1 << up - 1
+    width = 1 << up - _BYTE_DEPTH  # bytes per node
+    return not any(
+        0 < int.from_bytes(data[i:i + width], "little").bit_count() < need
+        for i in range(0, len(data), width)
+    )
+
+
+def _check_mask(mask: int, depth: int) -> None:
+    # the depth first: beyond MAX_DEPTH, 1 << depth alone would be huge
+    if not 0 <= depth <= MAX_DEPTH or mask < 0 or mask >> (1 << depth):
+        raise ValueError("mask out of range for depth")
+
+
+def levelset_mask(mask: int, depth: int, level: int) -> int:
+    """Project a depth-level mask to the set of its length-`level` prefixes.
+
+    A mask outside 0 <= mask < 2^(2^depth) is a ValueError.
+    """
+    if not 0 <= level <= depth:
+        raise ValueError("level out of range")
+    _check_mask(mask, depth)
+    return projections(depth)[level][mask]
+
+
+def dense_mask(mask: int, depth: int, level: int) -> bool:
+    """Every level-`level` node of mask keeps at least half its cylinder,
+    i.e. measure at least 2^-(level+1).  True from level = depth on.
+
+    A mask outside 0 <= mask < 2^(2^depth) is a ValueError at every level.
+    """
+    if level < 0:
+        raise ValueError("level out of range")
+    _check_mask(mask, depth)
+    return level >= depth or densities(depth)[level][mask] == 1
 
 
 def lift_mask(mask: int, level_from: int, level_to: int) -> int:

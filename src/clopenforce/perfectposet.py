@@ -18,7 +18,6 @@ from .cantor import (
     TABLE_DEPTH,
     ClopenSet,
     cyl_mask,
-    dense_mask,
     densities,
     density_ok,
     full_set,
@@ -82,18 +81,15 @@ def _same_depth(c1: PCondition, c2: PCondition) -> int:
     return c1.depth
 
 
-def _leq_masks(am: int, an: int, bm: int, bn: int, depth: int) -> bool:
-    return (
-        an >= bn
-        and am & ~bm == 0
-        and levelset_mask(am, depth, bn) == levelset_mask(bm, depth, bn)
-    )
+def _leq_masks(am: int, an: int, bm: int, bn: int, P: tuple) -> bool:
+    """P is the depth's `projections`."""
+    return an >= bn and am & ~bm == 0 and P[bn][am] == P[bn][bm]
 
 
 def p_leq(c1: PCondition, c2: PCondition) -> bool:
     """c1 extends c2: subset, deeper commitment, same trace at c2's level."""
     depth = _same_depth(c1, c2)
-    return _leq_masks(c1.B.mask, c1.n, c2.B.mask, c2.n, depth)
+    return _leq_masks(c1.B.mask, c1.n, c2.B.mask, c2.n, projections(depth))
 
 
 def _compat_masks(am: int, an: int, bm: int, bn: int, P: tuple) -> bool:
@@ -159,14 +155,12 @@ def prune_to_dense(B: ClopenSet, n: int) -> PCondition:
     return PCondition(ClopenSet(depth, mask), n)
 
 
-MAX_TABLE_NODES = 16  # 2^16 entries per table, the size depth 4 reaches
+MAX_TABLE_NODES = 16  # 2^16 unions or submasks per walk, as many as at depth 4
 
 
-def _subset_dp(mask: int, depth: int, level: int) -> list[int]:
-    """U[x] for every subset x of the level-`level` nodes of mask (bit i of
-    x is the i-th node): the part of mask below the nodes x picks.  More
-    than MAX_TABLE_NODES nodes is a ValueError, raised before any node is
-    listed.
+def _node_parts(mask: int, depth: int, level: int) -> list[int]:
+    """The part of mask below each of its level-`level` nodes.  More than
+    MAX_TABLE_NODES nodes is a ValueError, raised before any part is cut.
     """
     nodes = levelset_mask(mask, depth, level)
     if nodes.bit_count() > MAX_TABLE_NODES:
@@ -174,11 +168,7 @@ def _subset_dp(mask: int, depth: int, level: int) -> list[int]:
                          f"stop at {MAX_TABLE_NODES}")
     shift = depth - level
     block = (1 << (1 << shift)) - 1
-    U = [0]
-    for j in positions(nodes):
-        part = mask & block << (j << shift)
-        U += [u | part for u in U]
-    return U
+    return [mask & block << (j << shift) for j in positions(nodes)]
 
 
 def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
@@ -190,11 +180,13 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
     either u's trace at s already disagrees with b's (family A, unions of
     c's level-ell nodes), or it agrees and one committed node of the finer
     side is missed or has b's mass cut away below it (family B, unions of
-    c's level-fine nodes).  One pass per subset table sorts each u into its
-    family: the level-ell table when ell >= n, else the level-n table (B)
-    and then the level-ell one (A).  Candidates outside the dense part at
-    ell are dropped; a dropped candidate can dominate no dense condition
-    either, so nothing dense is lost.
+    c's level-fine nodes).  One walk over the unions at a level sorts each u
+    into its family: the level-ell unions when ell >= n, else the level-n
+    unions (B) and then the level-ell ones (A).  The walk is in Gray-code
+    order, each step XOR-ing one node's part into the one live union, so no
+    union is kept.  Candidates outside the dense part at ell are dropped; a
+    dropped candidate can dominate no dense condition either, so nothing
+    dense is lost.
     """
     depth = _same_depth(b, c)
     if not in_pprime(b) or not in_pprime(c):
@@ -218,8 +210,11 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
         shift = depth - fine
         block = (1 << (1 << shift)) - 1
         for level in (ell,) if ell >= n else (n, ell):
-            # U[0], the empty union, misses c's trace and is skipped
-            for u in _subset_dp(cmask, depth, level):
+            parts = _node_parts(cmask, depth, level)
+            u = 0
+            for i in range(1, 1 << len(parts)):
+                # step i flips the part of i's lowest set bit
+                u ^= parts[(i & -i).bit_length() - 1]
                 if at_m[u] != trace_c_m:
                     continue
                 if at_s[u] != trace_b_s:
@@ -423,11 +418,12 @@ def enumerate_pprime(depth: int, max_n: int | None = None) -> tuple[PCondition, 
     if max_n is None:
         max_n = depth
     sets = [ClopenSet(depth, mask) for mask in range(1, 1 << (1 << depth))]
+    D = densities(depth)
     return tuple(
         PCondition(B, n)
         for n in range(max_n + 1)
         for B in sets
-        if dense_mask(B.mask, depth, n)
+        if D[n][B.mask]
     )
 
 
@@ -443,11 +439,12 @@ class DeskPoset(FinitePoset):
     def __init__(self, depth: int) -> None:
         self.depth = depth
         els = enumerate_pprime(depth)
+        P = projections(depth)
         pairs = (
             (a, b)
             for b in els
             for a in els
-            if _leq_masks(a.B.mask, a.n, b.B.mask, b.n, depth)
+            if _leq_masks(a.B.mask, a.n, b.B.mask, b.n, P)
         )
         super().__init__(els, pairs, top_condition(depth))
 

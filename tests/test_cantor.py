@@ -131,6 +131,24 @@ def test_deep_kernel_matches_restatements():
         assert outcomes == {True, False}
 
 
+def test_dense_mask_makes_no_projection_call(monkeypatch):
+    # beyond the tables dense_mask range checks the mask itself: a density
+    # read is not also a projection
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return levelset_mask(*args)
+
+    monkeypatch.setattr(cantor, "levelset_mask", counted)
+    rng = random.Random(300)
+    for depth in (5, 8, 12):
+        masks = list(_deep_cases(rng, depth))
+        for i in range(100):
+            dense_mask(masks[i % len(masks)], depth, rng.randint(0, depth))
+    assert calls == []
+
+
 def test_deep_kernel_is_linear_in_the_mask():
     # one half of the tree at depth 20: 2^18 level-19 nodes, each of which
     # took a pass over the whole 2^20-bit mask (0.98 s at depth 18)
@@ -189,23 +207,25 @@ def test_levelset_mask_negative_on_loop_path_raises_in_time():
 
 
 def test_importing_the_cli_builds_no_depth4_table():
-    # the depth-4 tables are built on first depth-4 use, so start-up and
-    # depth-3 work do not pay for them
+    # each depth's tables are built on its first use, so start-up and
+    # depth-3 work do not pay for the depth-4 ones
     code = (
         "import clopenforce.cli\n"
         "from clopenforce import cantor\n"
-        "built = lambda: [type(t[4]) is tuple for t in (cantor._PROJECTIONS, cantor._DENSITY)]\n"
-        "print(built())\n"
+        "kernel = (cantor.projections, cantor.densities)\n"
+        "print([f.cache_info().currsize for f in kernel])\n"
         "cantor.levelset_mask(1, 4, 2)\n"
         "cantor.dense_mask(1, 4, 2)\n"
-        "print(built())\n"
+        "misses = [f.cache_info().misses for f in kernel]\n"
+        "print([f(4) is f(4) for f in kernel])\n"
+        "print([f.cache_info().misses for f in kernel] == misses)\n"
     )
     src = str(Path(cantor.__file__).parents[1])
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert done.stdout == "[False, False]\n[True, True]\n", done.stderr
+    assert done.stdout == "[0, 0]\n[True, True]\nTrue\n", done.stderr
 
 
 def test_depth_bound():

@@ -1,12 +1,16 @@
 import functools
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import oracle_restated
-from kernel_restated import dense_by_counts, leaves
+from kernel_restated import dense_by_counts, leaves, prefix_projection
 from support import automorphism, canon, pair_orbits, random_pprime_condition
 
 from clopenforce import perfectposet
@@ -57,6 +61,56 @@ def test_p_leq_examples():
     assert not p_leq(b, PCondition(full_set(2), 1))
     with pytest.raises(ValueError):
         p_leq(b, cond(["0"], 3, 1))
+
+
+def leq_clauses(c1, c2):
+    """c1 <= c2 restated over node bit strings, clause by clause: a subset,
+    a commitment at least as deep, and the same prefixes at c2's level."""
+    l1, l2 = leaves(c1.B.mask, c1.depth), leaves(c2.B.mask, c2.depth)
+    return (
+        set(l1) <= set(l2),
+        c1.n >= c2.n,
+        prefix_projection(l1, c2.n) == prefix_projection(l2, c2.n),
+    )
+
+
+def leq_pairs(rng, depth, count):
+    """Seeded (c1, c2) at depth: c1 is c2 with a few leaves or one cylinder
+    dropped, sometimes a leaf added, and a commitment near c2's."""
+    size = 1 << depth
+    while count:
+        bm, bn = rng.getrandbits(size) or 1, rng.randint(0, depth)
+        am = bm
+        for _ in range(rng.randint(0, 3)):
+            am &= ~(1 << rng.randrange(size))
+        if rng.random() < 0.3:
+            level = rng.randint(0, depth)
+            am &= ~cyl_mask(depth, level, rng.randrange(1 << level))
+        if rng.random() < 0.2:
+            am |= 1 << rng.randrange(size)
+        if am:
+            an = min(depth, max(0, bn + rng.randint(-1, 2)))
+            yield PCondition(ClopenSet(depth, am), an), PCondition(ClopenSet(depth, bm), bn)
+            count -= 1
+
+
+def test_p_leq_matches_prefix_restatement():
+    # every pair at depth 2, seeded pairs at depth 3 and, on the readers
+    # beyond the kernel's tables, at depths 5 and 6; at each depth every
+    # clause is seen to fail alone
+    conds = [PCondition(ClopenSet(2, mask), n) for mask in range(1, 16) for n in range(3)]
+    cases = [(2, [(a, b) for a in conds for b in conds])]
+    rng = random.Random(15)
+    cases += [(depth, leq_pairs(rng, depth, count)) for depth, count in
+              ((3, 2000), (5, 400), (6, 400))]
+    for depth, pairs in cases:
+        seen = set()
+        for c1, c2 in pairs:
+            clauses = leq_clauses(c1, c2)
+            assert p_leq(c1, c2) == all(clauses), (c1, c2)
+            seen.add(clauses)
+        assert {(True,) * 3, (False, True, True), (True, False, True),
+                (True, True, False)} <= seen, depth
 
 
 def test_p_compatible_examples():
@@ -151,6 +205,31 @@ def test_main_cover_rejects_deep_height():
         main_cover(top_condition(2), top_condition(2), 3)
     with pytest.raises(ValueError):
         main_cover(cond(["000"], 3, 1), top_condition(3), 2)  # b not dense
+
+
+def test_main_cover_keeps_one_union_at_a_time():
+    # c: 16 leaves 2^12 - 1, - 3, ..., - 31 at n = 11, b: one leaf at n = 12.
+    # A list of all 2^16 unions of c's level-12 nodes, each a 2^12-bit int,
+    # raised the peak RSS by 37 MB; a child process measures the call alone
+    code = (
+        "import resource\n"
+        "from clopenforce.cantor import ClopenSet\n"
+        "from clopenforce.perfectposet import PCondition, main_cover\n"
+        "c = PCondition(ClopenSet(12, sum(1 << 4095 - 2 * i for i in range(16))), 11)\n"
+        "b = PCondition(ClopenSet(12, 1 << 4095), 12)\n"
+        "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak()\n"
+        "print(len(main_cover(b, c, 12)), peak() - before)\n"
+    )
+    src = str(Path(perfectposet.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    members, grown_kb = map(int, done.stdout.split())
+    assert members == 2
+    assert grown_kb < 8 * 1024, grown_kb
 
 
 def test_main_cover_passes_oracle_random_depth3():
