@@ -348,14 +348,14 @@ class LevelSet:
         return len(bits) == self.level and self.mask >> node_index(bits) & 1 == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClopenSet:
     depth: int
     mask: int
 
     def __post_init__(self) -> None:
-        check_depth(self.depth)
-        if not 0 <= self.mask < (1 << (1 << self.depth)):
+        depth = check_depth(self.depth)
+        if not 0 <= self.mask < (1 << (1 << depth)):
             raise ValueError("mask out of range for depth")
 
     def nodes(self) -> tuple[str, ...]:

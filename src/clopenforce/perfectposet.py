@@ -48,15 +48,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PCondition:
     B: ClopenSet
     n: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= self.B.depth:
-            raise ValueError(f"commitment level {self.n} out of range")
-        if self.B.mask == 0:
+        B, n = self.B, self.n
+        if not 0 <= n <= B.depth:
+            raise ValueError(f"commitment level {n} out of range")
+        if B.mask == 0:
             raise ValueError("conditions need positive measure")
 
     @property
@@ -76,9 +77,12 @@ def in_pprime(c: PCondition) -> bool:
 
 
 def _same_depth(c1: PCondition, c2: PCondition) -> int:
-    if c1.depth != c2.depth:
+    # read through B, not the `depth` property: this runs once per pair and
+    # per cover member in the audits
+    depth = c1.B.depth
+    if depth != c2.B.depth:
         raise ValueError("conditions live at different depths")
-    return c1.depth
+    return depth
 
 
 def _leq_masks(am: int, an: int, bm: int, bn: int, P: tuple) -> bool:
@@ -244,11 +248,9 @@ def iterate_cover(ps: Sequence[PCondition], k: int) -> list[PCondition]:
     refining the cover one condition at a time, starting from the top."""
     if not ps:
         raise ValueError("iterate_cover needs at least one condition")
-    depth = ps[0].depth
-    for p in ps:
-        if p.depth != depth:
-            raise ValueError("conditions live at different depths")
-    family = main_cover(ps[0], top_condition(depth), k)
+    for p in ps[1:]:
+        _same_depth(ps[0], p)
+    family = main_cover(ps[0], top_condition(ps[0].depth), k)
     for p in ps[1:]:
         refined: dict[tuple[int, int], PCondition] = {}
         for q in family:

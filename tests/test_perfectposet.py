@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import functools
 import hashlib
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -15,6 +18,7 @@ from support import automorphism, canon, pair_orbits, random_pprime_condition
 
 from clopenforce import perfectposet
 from clopenforce.cantor import (
+    MAX_DEPTH,
     ClopenSet,
     canonicalize,
     cyl_mask,
@@ -47,10 +51,68 @@ def cond(nodes, depth, n):
 
 
 def test_pcondition_validation():
-    with pytest.raises(ValueError):
-        PCondition(ClopenSet(2, 0), 0)
-    with pytest.raises(ValueError):
-        PCondition(full_set(2), 3)
+    # every constructor check of a condition and of its set, with its message
+    for make, message in [
+        (lambda: ClopenSet(-1, 0), f"depth -1 outside 0..{MAX_DEPTH}"),
+        (lambda: ClopenSet(MAX_DEPTH + 1, 0), f"depth {MAX_DEPTH + 1} outside 0..{MAX_DEPTH}"),
+        (lambda: ClopenSet(2, 1 << 4), "mask out of range for depth"),
+        (lambda: ClopenSet(2, -1), "mask out of range for depth"),
+        (lambda: PCondition(full_set(2), 3), "commitment level 3 out of range"),
+        (lambda: PCondition(full_set(2), -1), "commitment level -1 out of range"),
+        (lambda: PCondition(ClopenSet(2, 0), 0), "conditions need positive measure"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            make()
+        assert str(raised.value) == message
+
+
+def test_conditions_are_slotted_values():
+    B = canonicalize(["000", "001", "110"], 3)
+    c = PCondition(B, 1)
+    assert (B.depth, B.mask) == (3, 0b01000011)
+    for value, fields in ((B, (3, B.mask)), (c, (B, 1))):
+        assert not hasattr(value, "__dict__")
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, f.name)
+        # a new name has no slot; the frozen __setattr__ of a slotted
+        # dataclass raises TypeError for it on Python 3.10 to 3.13
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = 0
+        # hashed as the tuple of fields, so orders of sets and dicts of
+        # conditions (soft layer, CLI output) do not depend on the class
+        assert hash(value) == hash(fields)
+        assert value == type(value)(*fields) and value != fields
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+    assert c != PCondition(B, 2) and B != ClopenSet(4, B.mask)
+    assert repr(B) == "ClopenSet(depth=3, mask=67)"
+    assert repr(c) == "PCondition(B=ClopenSet(depth=3, mask=67), n=1)"
+    assert str(c) == "(d=3:{000,001,110}, n=1)"
+    assert c.depth == 3
+
+
+def test_every_depth_check_names_the_mismatch():
+    shallow, deep = cond(["0"], 2, 1), cond(["0"], 3, 1)
+    top = top_condition(3)
+    cover = main_cover(deep, top, 3)
+    calls = [
+        lambda: p_leq(shallow, deep),
+        lambda: p_compatible(deep, shallow),
+        lambda: compat_oracle(shallow, deep),
+        lambda: main_cover(shallow, top, 2),
+        lambda: main_cover(deep, top_condition(2), 2),
+        # the cover of top is empty, so only the check up front sees shallow
+        lambda: iterate_cover([top, deep, shallow], 2),
+        lambda: cover_oracle(deep, top, 3, cover[:1] + [shallow] + cover[1:]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == "conditions live at different depths"
+    assert cover_oracle(deep, top, 3, cover).ok
 
 
 def test_p_leq_examples():
