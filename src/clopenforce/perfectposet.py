@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from operator import or_
 from typing import Sequence
 
 from .cantor import (
@@ -436,19 +437,38 @@ class DeskPoset(FinitePoset):
     Its compatibility, a common lower bound among the elements, is
     `p_compatible`: a common extension (E, k) puts the dense condition
     (E, depth) below both.
+
+    The elements are `enumerate_pprime(depth)`.  The down-set row of
+    b = (B, n) is built without pairwise tests: the elements below b are the
+    (e, n') with e a submask of B keeping B's trace at n and n' >= n, which
+    is `_leq_masks` read off.  One table per level, over all masks, holds
+    the bits of the elements (e, n') with n' at or above the level (256
+    entries per level at depth 3), and b's row ORs that table over the
+    submasks of B walked by mask.  The rows then pass `FinitePoset`'s
+    validation.
     """
 
     def __init__(self, depth: int) -> None:
         self.depth = depth
         els = enumerate_pprime(depth)
+        self._set_elements(els, top_condition(depth))
         P = projections(depth)
-        pairs = (
-            (a, b)
-            for b in els
-            for a in els
-            if _leq_masks(a.B.mask, a.n, b.B.mask, b.n, P)
-        )
-        super().__init__(els, pairs, top_condition(depth))
+        # from_level[n][e]: the bits of the elements (e, n') with n' >= n
+        from_level = [[0] * (1 << (1 << depth)) for _ in range(depth + 1)]
+        for i, c in enumerate(els):
+            from_level[c.n][c.B.mask] |= 1 << i
+        for n in range(depth - 1, -1, -1):
+            from_level[n] = list(map(or_, from_level[n], from_level[n + 1]))
+        down = []
+        for c in els:
+            bmask, at_n, below = c.B.mask, P[c.n], from_level[c.n]
+            trace, row, e = at_n[bmask], 0, bmask
+            while e:
+                if at_n[e] == trace:
+                    row |= below[e]
+                e = (e - 1) & bmask
+            down.append(row)
+        self._set_down(down)
 
     def heights(self) -> dict[PCondition, int]:
         return {e: e.n for e in self.elements}

@@ -28,11 +28,13 @@ class FinitePoset:
     """Explicit finite partial order with a largest element.
 
     The order is given as pairs (a, b) meaning a <= b; reflexive closure is
-    taken automatically, antisymmetry and transitivity are validated.
-    Down-sets are cached as bitmasks over element indices so compatibility
-    (existence of a common lower bound) is one AND.  Both axioms are checked
-    on those masks in element order, so the first violation reported does
-    not depend on hashing.
+    taken automatically, antisymmetry and transitivity are validated.  The
+    pairs become down-sets, bitmasks over element indices, so compatibility
+    (existence of a common lower bound) is one AND.  Every builder (the
+    pairs here, `product_poset`, `perfectposet.DeskPoset`) hands its
+    down-set rows to one validating step, `_set_down`, which fills the top's
+    row and checks both axioms on the masks in element order, so the first
+    violation reported does not depend on hashing or on the builder.
     """
 
     def __init__(
@@ -41,6 +43,23 @@ class FinitePoset:
         leq_pairs: Iterable[tuple[Element, Element]],
         top: Element,
     ) -> None:
+        self._set_elements(elements, top)
+        down = [1 << i for i in range(len(self.elements))]
+        for a, b in leq_pairs:
+            if a not in self.index or b not in self.index:
+                raise ValueError(f"relation pair ({a!r}, {b!r}) off the element list")
+            down[self.index[b]] |= 1 << self.index[a]
+        self._set_down(down)
+
+    @classmethod
+    def _from_rows(cls, elements, top, down: list[int]) -> "FinitePoset":
+        """The poset whose element i has down-set row down[i], validated."""
+        poset = cls.__new__(cls)
+        poset._set_elements(elements, top)
+        poset._set_down(down)
+        return poset
+
+    def _set_elements(self, elements: Iterable[Element], top: Element) -> None:
         self.elements: tuple[Element, ...] = tuple(elements)
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate elements")
@@ -48,13 +67,12 @@ class FinitePoset:
         if top not in self.index:
             raise ValueError("top is not an element")
         self.top = top
+
+    def _set_down(self, down: list[int]) -> None:
+        """Take down[i] as the down-set of element i, reflexive: fill the
+        top's row, then check antisymmetry and transitivity."""
         els = self.elements
-        down = [1 << i for i in range(len(els))]
-        for a, b in leq_pairs:
-            if a not in self.index or b not in self.index:
-                raise ValueError(f"relation pair ({a!r}, {b!r}) off the element list")
-            down[self.index[b]] |= 1 << self.index[a]
-        down[self.index[top]] = (1 << len(els)) - 1
+        down[self.index[self.top]] = (1 << len(els)) - 1
         for j, dj in enumerate(down):
             for i in positions(dj & ((1 << j) - 1)):
                 if down[i] >> j & 1:
@@ -87,11 +105,22 @@ class FinitePoset:
 
     def compat_rows(self) -> list[int]:
         """Row i is the bitmask of elements compatible with element i,
-        derived from the down-sets on first use."""
+        derived from the down-sets on first use.
+
+        Two elements are compatible when some element lies below both, and
+        then some minimal element does.  So row i is the union of the
+        up-sets (the transposed down rows) of the minimal elements below i.
+        """
         if self._rows is None:
             down = self._down
+            minimal = sum(1 << i for i, di in enumerate(down) if di == 1 << i)
+            up = [0] * len(down)
+            for j, dj in enumerate(down):
+                for k in positions(dj & minimal):
+                    up[k] |= 1 << j
             self._rows = [
-                sum(1 << j for j, dj in enumerate(down) if di & dj) for di in down
+                reduce(or_, (up[k] for k in positions(di & minimal)), 0)
+                for di in down
             ]
         return self._rows
 
@@ -294,7 +323,14 @@ def product_poset(
     Pp,
     hp: HeightFn,
 ) -> tuple[FinitePoset, dict[tuple[Element, Element], int]]:
-    """Coordinatewise-ordered product with the stepped height attached."""
+    """Coordinatewise-ordered product with the stepped height attached.
+
+    The elements are the pairs (q, p), q-major.  The order is coordinatewise,
+    so the down-set row of (q, p) is q's row crossed with p's: each bit k of
+    q's row becomes p's row shifted to the k-th block, which is one product
+    of q's spread row with p's row (the blocks do not overlap, so nothing
+    carries).  The rows then pass the same validation as any `FinitePoset`.
+    """
     _heights(Pq, gq)
     _heights(Pq, supp_q)
     _heights(Pp, hp)
@@ -303,11 +339,13 @@ def product_poset(
     if not check_height(Pq, supp_q):
         raise ValueError("support size must be order-reversing")
     elements = [(q, p) for q in Pq.elements for p in Pp.elements]
-    poset = FinitePoset.from_leq(
-        elements,
-        lambda a, b: Pq.leq(a[0], b[0]) and Pp.leq(a[1], b[1]),
-        (Pq.top, Pp.top),
-    )
+    width = len(Pp.elements)
+    rows_p = [Pp.down_row(j) for j in range(width)]
+    down = []
+    for i in range(len(Pq.elements)):
+        spread = sum(1 << k * width for k in positions(Pq.down_row(i)))
+        down.extend(spread * row for row in rows_p)
+    poset = FinitePoset._from_rows(elements, (Pq.top, Pp.top), down)
     heights = {
         (q, p): product_height_step(gq[q], supp_q[q], hp[p], p == Pp.top)
         for q, p in elements

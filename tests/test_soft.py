@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,10 @@ def test_finite_poset_validation_matches_relation_restatement():
         gaps = [
             (x, y, z) for x, y in rel for y2, z in rel if y == y2 and (x, z) not in rel
         ]
+        # the same relation as down-set rows, handed to the shared validator
+        rows = [1 << i for i in range(len(els))]
+        for x, y in given:
+            rows[els.index(y)] |= 1 << els.index(x)
         if cycles or gaps:
             with pytest.raises(ValueError) as err:
                 FinitePoset(els, given, "t")
@@ -61,9 +66,13 @@ def test_finite_poset_validation_matches_relation_restatement():
                 first = "transitivity", min(gaps, key=lambda t: t[::-1])
             kind, _, at = str(err.value).partition(" violated at ")
             assert (kind, ast.literal_eval(at)) == first, given
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err.value))}$"):
+                FinitePoset._from_rows(els, "t", rows)
             continue
         P = FinitePoset(els, given, "t")
         assert {(x, y) for x in els for y in els if P.leq(x, y)} == rel
+        Q = FinitePoset._from_rows(els, "t", rows)
+        assert [Q.down_row(i) for i in range(5)] == [P.down_row(i) for i in range(5)]
     assert not P.leq("a", "zz") and not P.leq("zz", "t")
 
 

@@ -13,6 +13,16 @@ from clopenforce.perfectposet import DeskPoset, iterate_cover, p_compatible, p_l
 
 
 @pytest.fixture(scope="module")
+def desk0():
+    return DeskPoset(0)
+
+
+@pytest.fixture(scope="module")
+def desk1():
+    return DeskPoset(1)
+
+
+@pytest.fixture(scope="module")
 def desk2():
     return DeskPoset(2)
 
@@ -50,7 +60,7 @@ def test_rows_match_order_on_desk(desk2):
     assert_rows(desk2)
 
 
-@pytest.mark.parametrize("name", ["desk2", "desk3"])
+@pytest.mark.parametrize("name", ["desk0", "desk1", "desk2", "desk3"])
 def test_desk_rows_match_closed_forms_exhaustively(name, request):
     # the desk's order is the closed-form p_leq, and its compatibility (a
     # common lower bound among the elements) is p_compatible, on every
@@ -64,6 +74,55 @@ def test_desk_rows_match_closed_forms_exhaustively(name, request):
             down |= p_leq(b, a) << j
         assert rows[i] == compat, a
         assert desk.down_row(i) == down, a
+
+
+def down_rows(P):
+    return [P.down_row(i) for i in range(len(P.elements))]
+
+
+def pairwise_compat_rows(P):
+    down = down_rows(P)
+    return [sum(1 << j for j, dj in enumerate(down) if di & dj != 0) for di in down]
+
+
+def random_factors(rng):
+    """Two random posets, with heights and a support map product_poset takes."""
+    Q, P = random_poset(rng, 5), random_poset(rng, 5)
+    return Q, chain_heights(Q, rng), chain_heights(Q), P, chain_heights(P, rng)
+
+
+def test_compat_rows_match_pairwise_test():
+    # rows from the up-sets of the minimal elements below, against one AND
+    # test per pair of down rows
+    rng = random.Random(53)
+    several = 0
+    for _ in range(60):
+        P = random_poset(rng, 9)
+        several += sum(row == 1 << i for i, row in enumerate(down_rows(P))) >= 2
+        assert P.compat_rows() == pairwise_compat_rows(P)
+    assert several >= 30
+    for _ in range(15):
+        poset, _ = soft.product_poset(*random_factors(rng))
+        assert poset.compat_rows() == pairwise_compat_rows(poset)
+
+
+def test_product_rows_match_coordinatewise_order():
+    rng = random.Random(59)
+    for _ in range(30):
+        Q, gq, supp, P, hp = random_factors(rng)
+        poset, heights = soft.product_poset(Q, gq, supp, P, hp)
+        by_pairs = soft.FinitePoset.from_leq(
+            [(q, p) for q in Q.elements for p in P.elements],
+            lambda a, b: Q.leq(a[0], b[0]) and P.leq(a[1], b[1]),
+            (Q.top, P.top),
+        )
+        assert poset.elements == by_pairs.elements and poset.top == by_pairs.top
+        assert down_rows(poset) == down_rows(by_pairs)
+        assert set(heights) == set(by_pairs.elements)
+    Q = soft.FinitePoset(["a", "b", "top"], [("a", "b")], "top")
+    with pytest.raises(ValueError, match="^support size must be order-reversing$"):
+        soft.product_poset(Q, {"a": 1, "b": 1, "top": 0}, {"a": 0, "b": 1, "top": 0},
+                           P, hp)
 
 
 def corrupt(rng, P, h):
