@@ -365,6 +365,8 @@ class ClopenSet:
         """The same set re-expressed at a finer resolution."""
         if depth < self.depth:
             raise ValueError("cannot coarsen a clopen set")
+        if depth == self.depth:
+            return self
         return ClopenSet(depth, lift_mask(self.mask, self.depth, depth))
 
     def is_empty(self) -> bool:

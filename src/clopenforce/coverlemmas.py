@@ -81,13 +81,20 @@ def hit_weight(W: WeightFamily, zmask: int, k_prime: int) -> Fraction:
 
 def halve_once(W: WeightFamily, k_prime: int) -> LevelSet:
     """Smallest (then numerically least) Z' of size <= |Z|/2 keeping mass
-    (1 - eps(k, k')) * total on sets still hit k' deep."""
+    (1 - eps(k, k')) * total on sets still hit k' deep.
+
+    A Z' of fewer than k' nodes hits no set k' deep, so its mass is 0 and
+    it can win only when the target is at most 0.  The search therefore
+    starts at size k' when the target is positive (and at size 0, where
+    the empty set wins, otherwise); the sizes it skips hold no winner, so
+    the result is the same as a search from size 0.
+    """
     if not 1 <= k_prime <= W.k:
         raise ValueError("need 1 <= k' <= k")
     total = W.total()
     target = (1 - epsilon(W.k, k_prime)) * total
     pos = positions(W.Z.mask)
-    for size in range(len(pos) // 2 + 1):
+    for size in range(k_prime if target > 0 else 0, len(pos) // 2 + 1):
         for packed in _gosper(len(pos), size):
             zp = 0
             y = packed

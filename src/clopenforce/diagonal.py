@@ -141,7 +141,14 @@ class ChainReport:
 
 def verify_chain(chain: DiagonalChain, v: int) -> ChainReport:
     """Audit every family: quadratic in its parent, an exact partition of
-    the parent coordinates, and the per-node product-measure budget."""
+    the parent coordinates, and the per-node product-measure budget.
+
+    Every coordinate is read at the chain's deepest depth d, where a
+    measure is a leaf count over 2^d.  The checks compare leaf counts, so
+    the common 2^d cancels: quadratic is |p||pq| == |q||pp| and the budget
+    is v * sum |p||q| < |pp||pq|.  Fractions are built only for the text
+    of a budget violation.
+    """
     if v < 1:
         raise ValueError("v must be positive")
     bad: list[str] = []
@@ -164,28 +171,32 @@ def verify_chain(chain: DiagonalChain, v: int) -> ChainReport:
         else:
             parent_p = full_set(depth)
             parent_q = full_set(depth)
-        pp, pq = parent_p.at_depth(depth), parent_q.at_depth(depth)
+        pp = parent_p.at_depth(depth).mask
+        pq = parent_q.at_depth(depth).mask
+        cpp, cpq = pp.bit_count(), pq.bit_count()  # leaf counts
         union_p = union_q = 0
-        budget = Fraction(0)
+        leaves = 0
         for i, cond in sorted(fam.items()):
-            p = cond.p.at_depth(depth)
-            q = cond.q.at_depth(depth)
-            if p.mask & ~pp.mask or q.mask & ~pq.mask:
+            p = cond.p.at_depth(depth).mask
+            q = cond.q.at_depth(depth).mask
+            if p & ~pp or q & ~pq:
                 bad.append(f"{label} i={i}: not nested in parent")
                 continue
-            if measure(p) / measure(pp) != measure(q) / measure(pq):
+            cp, cq = p.bit_count(), q.bit_count()
+            if cp * cpq != cq * cpp:
                 bad.append(f"{label} i={i}: not quadratic in parent")
-            if union_p & p.mask or union_q & q.mask:
+            if union_p & p or union_q & q:
                 bad.append(f"{label} i={i}: overlaps an earlier piece")
-            union_p |= p.mask
-            union_q |= q.mask
-            budget += cond.measure()
-        if union_p != pp.mask or union_q != pq.mask:
+            union_p |= p
+            union_q |= q
+            leaves += cp * cq
+        if union_p != pp or union_q != pq:
             bad.append(f"{label}: pieces do not partition the parent")
-        parent_mass = measure(pp) * measure(pq)
-        if not budget < Fraction(1, v) * parent_mass:
+        if not v * leaves < cpp * cpq:
+            cell = 1 << 2 * depth
             bad.append(
-                f"{label}: mass {budget} not below {Fraction(1, v) * parent_mass}"
+                f"{label}: mass {Fraction(leaves, cell)} not below"
+                f" {Fraction(cpp * cpq, v * cell)}"
             )
     return ChainReport(tuple(bad), len(fams), len(chain.entries))
 

@@ -420,3 +420,12 @@ def test_levelset_container():
     assert "01" in L and "11" not in L
     with pytest.raises(ValueError):
         LevelSet.from_nodes(2, ["0"])
+
+
+def test_at_depth_own_depth_is_identity():
+    B = canonicalize(["01", "1"], 3)
+    assert B.at_depth(B.depth) is B
+    deeper = B.at_depth(5)
+    assert deeper.depth == 5
+    assert all((deeper.mask >> i & 1) == (B.mask >> (i >> 2) & 1) for i in range(32))
+    assert deeper.nodes() == canonicalize(["01", "1"], 5).nodes()

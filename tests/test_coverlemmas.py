@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import lemmas_restated
 from support import random_shrink_family, random_weight_family
 
 from clopenforce.cantor import LevelSet
@@ -195,3 +196,73 @@ def test_bumping_a_weight_never_hurts():
         assert max(guarantee, 0) >= max(
             (1 - epsilon(fam.k, kp)) * fam.total(), 0
         )
+
+
+def _halving(halve, fam, kp):
+    """A halving's result: the LevelSet, or the LemmaViolated message."""
+    try:
+        return halve(fam, kp)
+    except LemmaViolated as exc:
+        return f"lemma-violated: {exc}"
+
+
+def _same_halving(fam, kp):
+    assert _halving(halve_once, fam, kp) == _halving(lemmas_restated.halve_once, fam, kp)
+
+
+def test_halve_once_matches_restated_on_random_families():
+    rng = random.Random(1616)
+    for _ in range(400):
+        fam = random_weight_family(rng, n_max=3)
+        for kp in range(1, fam.k + 1):
+            _same_halving(fam, kp)
+
+
+def test_halve_once_matches_restated_edge_cases():
+    z3 = full_level(3)
+    zeros = WeightFamily(3, 2, z3, ((0b11, Fraction(0)), (0b1111, Fraction(0))))
+    ints = WeightFamily(3, 2, z3, ((0b111, 3), (0b11000, 5), (0b11110000, 1)))
+    coprime = WeightFamily(
+        3, 3, z3,
+        ((0b111, Fraction(1, 7)), (0b111000, Fraction(1, 11)), (0b11100011, Fraction(1, 13))),
+    )
+    partial = WeightFamily(
+        3, 2, LevelSet(3, 0b10110110),
+        ((0b10100000, Fraction(2, 3)), (0b110, Fraction(5, 4)), (0b10010110, Fraction(0))),
+    )
+    for fam in (zeros, ints, coprime, partial):
+        for kp in range(1, fam.k + 1):
+            _same_halving(fam, kp)
+    # k' = k = 2 gives eps(2, 2) = 3/2, a negative target: the empty set
+    assert epsilon(2, 2) > 1
+    assert halve_once(ints, 2).mask == 0
+    assert halve_once(zeros, 1).mask == 0
+
+
+def test_halve_once_matches_restated_when_the_lemma_fails(monkeypatch):
+    # with no loss allowed, a k' beyond |Z|/2 leaves no candidate hitting
+    # anything k' deep, and both searches must fail with the same message
+    for module in (coverlemmas, lemmas_restated):
+        monkeypatch.setattr(module, "epsilon", lambda k, k_prime: Fraction(0))
+    fam = WeightFamily(2, 3, LevelSet(2, 0b0111), ((0b0111, Fraction(2, 9)),))
+    for kp in (1, 2, 3):
+        _same_halving(fam, kp)
+    with pytest.raises(LemmaViolated, match="keeps 1 of the mass"):
+        halve_once(fam, 2)
+    rng = random.Random(17)
+    for _ in range(100):
+        fam = random_weight_family(rng, n_max=3)
+        for kp in range(1, fam.k + 1):
+            _same_halving(fam, kp)
+
+
+def test_shrink_matches_restated_halving(monkeypatch):
+    rng = random.Random(1617)
+    cases = []
+    for _ in range(24):
+        m = rng.choice((1, 2))
+        eps = rng.choice((Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)))
+        cases.append((random_shrink_family(rng, 4, schedule(eps, m)[m]), eps, m))
+    fast = [shrink(*case) for case in cases]
+    monkeypatch.setattr(coverlemmas, "halve_once", lemmas_restated.halve_once)
+    assert fast == [shrink(*case) for case in cases]

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from clopenforce.cantor import canonicalize, full_set, measure
+import lemmas_restated
+
+from clopenforce.cantor import ClopenSet, canonicalize, full_set, level_set, measure
 from clopenforce.diagonal import (
     DiagonalChain,
     ParamSchedule,
@@ -182,3 +184,62 @@ def test_find_params_round_trip():
 
 def test_find_params_is_deterministic():
     assert find_params(2) == find_params(2)
+
+
+def test_verify_chain_matches_restated_on_built_chains():
+    for m in (1, 2):
+        for g in (1, 2, 3):
+            chain = build_chain(m, g, 1, m * g)
+            for v in range(1, (1 << g) + 2):
+                assert verify_chain(chain, v) == lemmas_restated.verify_chain(chain, v)
+
+
+def _coarsen(B, level):
+    """B, a union of level-`level` cylinders, written at that depth."""
+    coarse = ClopenSet(level, level_set(B, level).mask)
+    assert coarse.at_depth(B.depth) == B
+    return coarse
+
+
+def test_verify_chain_matches_restated_on_tampered_chains():
+    chain = build_chain(2, 2, 3, 4)
+    base = dict(chain.entries)
+    outside = dict(base)  # a piece outside its parent
+    outside[((0,), (1,), 0)] = ProductCondition(canonicalize(["11"], 4), canonicalize(["0100"], 4))
+    overlap = dict(base)  # two pieces sharing leaves
+    overlap[((0,), (1,), 1)] = base[((0,), (1,), 0)]
+    wide = dict(base)  # a non-quadratic piece
+    wide[((1,), (2,), 3)] = ProductCondition(base[((1,), (2,), 3)].p, base[((), (), 2)].q)
+    orphan = dict(base)  # a family whose parent is gone
+    del orphan[((), (), 3)]
+    coarse = dict(base)  # first-level entries at depth 2, the rest at 4
+    for i in range(4):
+        cond = base[((), (), i)]
+        coarse[((), (), i)] = ProductCondition(_coarsen(cond.p, 2), _coarsen(cond.q, 2))
+    deep = dict(coarse)  # and one second-level entry lifted to depth 5
+    cond = deep[((2,), (0,), 1)]
+    deep[((2,), (0,), 1)] = ProductCondition(cond.p.at_depth(5), cond.q.at_depth(5))
+    # parents of unequal measure: ((),(),1) keeps half its second
+    # coordinate, and the family below it halves that coordinate too
+    uneven = dict(build_chain(2, 1, 1, 3).entries)
+    uneven[((), (), 1)] = ProductCondition(canonicalize(["1"], 3), canonicalize(["10"], 3))
+    for k, (p, q) in enumerate((("00", "100"), ("01", "101"))):
+        uneven[((0,), (1,), k)] = ProductCondition(canonicalize([p], 3), canonicalize([q], 3))
+    cases = (
+        (uneven, "sigma=[] tau=[] i=1: not quadratic in parent"),
+        (outside, "not nested in parent"),
+        (overlap, "overlaps an earlier piece"),
+        (wide, "not quadratic in parent"),
+        (orphan, "parent entries missing"),
+        (coarse, None),
+        (deep, None),
+    )
+    for entries, flaw in cases:
+        tampered = DiagonalChain(2, entries)
+        for v in range(1, 6):
+            want = lemmas_restated.verify_chain(tampered, v)
+            assert verify_chain(tampered, v) == want
+            if flaw:
+                assert any(flaw in text for text in want.violations)
+            else:
+                assert want.ok == (v < 4)  # each family keeps 1/4 of its parent
