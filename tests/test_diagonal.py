@@ -243,3 +243,264 @@ def test_verify_chain_matches_restated_on_tampered_chains():
                 assert any(flaw in text for text in want.violations)
             else:
                 assert want.ok == (v < 4)  # each family keeps 1/4 of its parent
+
+
+# Full reports pinned before the compared checks were written once: every
+# compared check passing and failing (the equality cases among them), the
+# degenerate and vacuous eps texts, and a wrong y, under both variants.
+# zeta0 never passes under 2.6, whose zeta0 exceeds 2(delta^-2 + delta) > 2.
+PIN_SCHEDULES = {
+    "passing": ParamSchedule(2, Fraction(1, 256), (2, 2048), (8,), Fraction(1, 68719476736), 2049),
+    "zeta0-above": ParamSchedule(1, Fraction(1, 10), (2,), (), Fraction(1, 4000), 3),
+    "eps-zero": ParamSchedule(1, Fraction(1, 10), (2,), (), Fraction(0), 3),
+    "eps-one": ParamSchedule(2, Fraction(1, 256), (2, 2048), (8,), Fraction(1), 2049),
+    "eps-three-halves": ParamSchedule(3, Fraction(1, 4), (2, 8, 32), (8, 32), Fraction(3, 2), 5),
+    "wrong-y": ParamSchedule(
+        3, Fraction(1, 256), (2, 2048, 4096), (8, 9), Fraction(1, 68719476736), 4097
+    ),
+    "z0-one": ParamSchedule(2, Fraction(1, 256), (1, 2048), (4,), Fraction(1, 68719476736), 2049),
+    "v-small": ParamSchedule(2, Fraction(1, 256), (2, 2048), (8,), Fraction(1, 68719476736), 2000),
+    "z-v-and-step-equal": ParamSchedule(2, Fraction(1, 10), (3, 8), (12,), Fraction(0), 8),
+    "zeta0-equal": ParamSchedule(1, Fraction(1, 10), (2,), (), Fraction(1, 8040), 3),
+    "eps-quarter": ParamSchedule(2, Fraction(1, 256), (2, 2048), (8,), Fraction(1, 4), 2049),
+}
+
+PIN_REPORTS = {
+    ("passing", "2.5"): (
+        ("eps-positive", True, "eps 1/68719476736 > 0"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", True, "z_1 2048 <= 9676128923118290627201025/4722366482869645213696"),
+        ("zeta0", True, "zeta0 603979777/17179869184 < 1/16"),
+        ("step0", True,
+         "step0 290586003145216950840848917039413247/332469258213382052666013843141427200 >= 1/2"),
+    ),
+    ("passing", "2.6"): (
+        ("eps-positive", True, "eps 1/68719476736 > 0"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", True, "z_1 2048 <= 9676128923118290627201025/4722366482869645213696"),
+        ("zeta0", False, "zeta0 18446744074045095937/17179869184 >= 1/16"),
+        ("step0", True,
+         "step0 290586003145216950840848917039413247/332469258213382052666013843141427200 >= 1/2"),
+    ),
+    ("zeta0-above", "2.5"): (
+        ("eps-positive", True, "eps 1/4000 > 0"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", True, "z_0 2 <= 47976003/16000000"),
+        ("zeta0", False, "zeta0 601/2000 >= 1/4"),
+    ),
+    ("zeta0-above", "2.6"): (
+        ("eps-positive", True, "eps 1/4000 > 0"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", True, "z_0 2 <= 47976003/16000000"),
+        ("zeta0", False, "zeta0 800401/2000 >= 1/4"),
+    ),
+    ("eps-zero", "2.5"): (
+        ("eps-positive", False, "eps 0 degenerate"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", True, "z_0 2 <= 3"),
+        ("zeta0", True, "zeta0 1/5 < 1/4"),
+    ),
+    ("eps-zero", "2.6"): (
+        ("eps-positive", False, "eps 0 degenerate"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", True, "z_0 2 <= 3"),
+        ("zeta0", False, "zeta0 2001/5 >= 1/4"),
+    ),
+    ("eps-one", "2.5"): (
+        ("eps-positive", True, "eps 1 > 0"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", False, "eps 1 >= 1 makes the budget vacuous"),
+        ("zeta0", False, "zeta0 274877907973/256 >= 1/16"),
+        ("step0", False, "step0: eps 1 >= 1"),
+    ),
+    ("eps-one", "2.6"): (
+        ("eps-positive", True, "eps 1 > 0"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", False, "eps 1 >= 1 makes the budget vacuous"),
+        ("zeta0", False, "zeta0 274877907973/256 >= 1/16"),
+        ("step0", False, "step0: eps 1 >= 1"),
+    ),
+    ("eps-three-halves", "2.5"): (
+        ("eps-positive", True, "eps 3/2 > 0"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", False, "eps 3/2 >= 1 makes the budget vacuous"),
+        ("zeta0", False, "zeta0 27673/2 >= 1/64"),
+        ("step0", False, "step0: eps 3/2 >= 1"),
+        ("step1", False, "step1: eps 3/2 >= 1"),
+    ),
+    ("eps-three-halves", "2.6"): (
+        ("eps-positive", True, "eps 3/2 > 0"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", False, "eps 3/2 >= 1 makes the budget vacuous"),
+        ("zeta0", False, "zeta0 18457/2 >= 1/64"),
+        ("step0", False, "step0: eps 3/2 >= 1"),
+        ("step1", False, "step1: eps 3/2 >= 1"),
+    ),
+    ("wrong-y", "2.5"): (
+        ("eps-positive", True, "eps 1/68719476736 > 0"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", False, "y[1] 9 != 4*2048"),
+        ("z-v", True, "z_2 4096 <= 19347535479753849048141825/4722366482869645213696"),
+        ("zeta0", False, "zeta0 3430940675/34359738368 >= 1/64"),
+        ("step0", True,
+         "step0 581354666819114666723927613656526847/664776257149939614335118943558041600 >= 1/2"),
+        ("step1", False,
+         "step1 590587670390641605811915376761499647"
+         "/664776257149939614335118943558041600 < 2047/2048"),
+    ),
+    ("wrong-y", "2.6"): (
+        ("eps-positive", True, "eps 1/68719476736 > 0"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", False, "y[1] 9 != 4*2048"),
+        ("z-v", True, "z_2 4096 <= 19347535479753849048141825/4722366482869645213696"),
+        ("zeta0", False, "zeta0 166020696664400986115/34359738368 >= 1/64"),
+        ("step0", True,
+         "step0 581354666819114666723927613656526847/664776257149939614335118943558041600 >= 1/2"),
+        ("step1", False,
+         "step1 590587670390641605811915376761499647"
+         "/664776257149939614335118943558041600 < 2047/2048"),
+    ),
+    ("z0-one", "2.5"): (
+        ("eps-positive", True, "eps 1/68719476736 > 0"),
+        ("z0", False, "z0 1 <= 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", True, "z_1 2048 <= 9676128923118290627201025/4722366482869645213696"),
+        ("zeta0", True, "zeta0 570425345/17179869184 < 1/16"),
+        ("step0", True,
+         "step0 249027345868544194257597186646734847/332469258213382052666013843141427200 >= 0"),
+    ),
+    ("z0-one", "2.6"): (
+        ("eps-positive", True, "eps 1/68719476736 > 0"),
+        ("z0", False, "z0 1 <= 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", True, "z_1 2048 <= 9676128923118290627201025/4722366482869645213696"),
+        ("zeta0", False, "zeta0 18446744074011541505/17179869184 >= 1/16"),
+        ("step0", True,
+         "step0 249027345868544194257597186646734847/332469258213382052666013843141427200 >= 0"),
+    ),
+    ("v-small", "2.5"): (
+        ("eps-positive", True, "eps 1/68719476736 > 0"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", False, "z_1 2048 > 590295810341525782528125/295147905179352825856"),
+        ("zeta0", True, "zeta0 603979777/17179869184 < 1/16"),
+        ("step0", True,
+         "step0 17727063676972586329517192739028867/20282409603061374613592840601600000 >= 1/2"),
+    ),
+    ("v-small", "2.6"): (
+        ("eps-positive", True, "eps 1/68719476736 > 0"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", False, "z_1 2048 > 590295810341525782528125/295147905179352825856"),
+        ("zeta0", False, "zeta0 18446744074045095937/17179869184 >= 1/16"),
+        ("step0", True,
+         "step0 17727063676972586329517192739028867/20282409603061374613592840601600000 >= 1/2"),
+    ),
+    ("z-v-and-step-equal", "2.5"): (
+        ("eps-positive", False, "eps 0 degenerate"),
+        ("z0", True, "z0 3 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", True, "z_1 8 <= 8"),
+        ("zeta0", False, "zeta0 19/10 >= 1/16"),
+        ("step0", True, "step0 2/3 >= 2/3"),
+    ),
+    ("z-v-and-step-equal", "2.6"): (
+        ("eps-positive", False, "eps 0 degenerate"),
+        ("z0", True, "z0 3 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", True, "z_1 8 <= 8"),
+        ("zeta0", False, "zeta0 64019/10 >= 1/16"),
+        ("step0", True, "step0 2/3 >= 2/3"),
+    ),
+    ("zeta0-equal", "2.5"): (
+        ("eps-positive", True, "eps 1/8040 > 0"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", True, "z_0 2 <= 64625521/21547200"),
+        ("zeta0", False, "zeta0 1/4 >= 1/4"),
+    ),
+    ("zeta0-equal", "2.6"): (
+        ("eps-positive", True, "eps 1/8040 > 0"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", True, "z_0 2 <= 64625521/21547200"),
+        ("zeta0", False, "zeta0 321761/804 >= 1/4"),
+    ),
+    ("eps-quarter", "2.5"): (
+        ("eps-positive", True, "eps 1/4 > 0"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", False, "z_1 2048 > 18441/16"),
+        ("zeta0", False, "zeta0 68719476997/256 >= 1/16"),
+        ("step0", False, "step0 14111479/37767168 < 1/2"),
+    ),
+    ("eps-quarter", "2.6"): (
+        ("eps-positive", True, "eps 1/4 > 0"),
+        ("z0", True, "z0 2 > 1"),
+        ("y-ratio", True, "y = 4z"),
+        ("z-v", False, "z_1 2048 > 18441/16"),
+        ("zeta0", False, "zeta0 274877907205/256 >= 1/16"),
+        ("step0", False, "step0 14111479/37767168 < 1/2"),
+    ),
+}
+
+
+def test_validate_params_pinned_reports():
+    for (case, variant), want in PIN_REPORTS.items():
+        report = validate_params(PIN_SCHEDULES[case], variant)
+        got = tuple((c.name, c.passed, c.message) for c in report.checks)
+        assert got == want, (case, variant)
+
+
+FIND_PARAMS = (
+    ParamSchedule(1, Fraction(1, 16), (2,), (), Fraction(1, 16384), 3),
+    ParamSchedule(2, Fraction(1, 256), (2, 2048), (8,), Fraction(1, 68719476736), 2049),
+    ParamSchedule(
+        3, Fraction(1, 1024), (2, 8192, 33554432), (8, 32768),
+        Fraction(1, 288230376151711744), 33554433,
+    ),
+    ParamSchedule(
+        4, Fraction(1, 4096), (2, 32768, 536870912, 8796093022208), (8, 131072, 2147483648),
+        Fraction(1, 4835703278458516698824704), 8796093022209,
+    ),
+    ParamSchedule(
+        5, Fraction(1, 16384),
+        (2, 131072, 8589934592, 562949953421312, 36893488147419103232),
+        (8, 524288, 34359738368, 2251799813685248),
+        Fraction(1, 5192296858534827628530496329220096), 36893488147419103233,
+    ),
+    ParamSchedule(
+        6, Fraction(1, 262144),
+        (2, 2097152, 2199023255552, 2305843009213693952, 2417851639229258349412352,
+         2535301200456458802993406410752),
+        (8, 8388608, 8796093022208, 9223372036854775808, 9671406556917033397649408),
+        Fraction(1, 91343852333181432387730302044767688728495783936),
+        2535301200456458802993406410753,
+    ),
+)
+
+
+def test_find_params_pinned():
+    for m, want in enumerate(FIND_PARAMS, start=1):
+        assert find_params(m) == want
+
+
+def test_find_params_step_slack_is_positive_on_the_whole_grid():
+    # find_params' z_j = 2*4^((s+1)j) and y_l = 4 z_l leave every step
+    # positive slack, so the search never skips a scale for it
+    for s in range(1, 81):
+        for m in range(2, 7):
+            z = [2 * 4 ** ((s + 1) * j) for j in range(m)]
+            for l in range(m - 1):
+                slack = Fraction(1, z[l]) - Fraction(2, z[-1]) - Fraction(1, 4 * z[l])
+                assert slack > 0, (s, m, l)

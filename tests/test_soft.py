@@ -113,6 +113,13 @@ def test_find_cover_top_and_chain():
     assert verify_cover(P, hp, ["x"], 2, ["a"])
 
 
+def test_find_cover_can_need_every_candidate():
+    # a and b each dominate only themselves, so the cover is the whole list
+    Q = antichain_poset("abc")
+    h = {e: 0 for e in Q.elements}
+    assert find_cover(Q, h, ["c"], 0) == ["a", "b"]
+
+
 def test_star_witness_examples():
     # singleton maximal antichain
     P = FinitePoset(["a", "top"], [], "top")
