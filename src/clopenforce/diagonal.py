@@ -9,7 +9,8 @@ the per-level step inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -262,19 +263,33 @@ class ParamReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+# each comparison with its negation, which a failed check shows
+_COMPARE = {"<": (operator.lt, ">="), "<=": (operator.le, ">"),
+            ">": (operator.gt, "<="), ">=": (operator.ge, "<")}
+
+
 def validate_params(ps: ParamSchedule, variant: str = "2.5") -> ParamReport:
-    """Exact pass/fail for every constraint the estimate leans on."""
+    """Exact pass/fail for every constraint the estimate leans on.
+
+    A compared check is stated once, as lhs op rhs; its message shows op
+    when the check holds and the negation when it fails.  The texts for a
+    degenerate eps, the y = 4z ratio and eps >= 1 are fixed.
+    """
     checks: list[ParamCheck] = []
 
     def add(name: str, passed: bool, message: str) -> None:
         checks.append(ParamCheck(name, passed, message))
 
-    add(
-        "eps-positive",
-        ps.eps > 0,
-        f"eps {ps.eps} > 0" if ps.eps > 0 else f"eps {ps.eps} degenerate",
-    )
-    add("z0", ps.z[0] > 1, f"z0 {ps.z[0]} {'>' if ps.z[0] > 1 else '<='} 1")
+    def compare(name: str, label: str, lhs, op: str, rhs) -> None:
+        holds, negated = _COMPARE[op]
+        passed = holds(lhs, rhs)
+        add(name, passed, f"{label} {lhs} {op if passed else negated} {rhs}")
+
+    if ps.eps > 0:
+        compare("eps-positive", "eps", ps.eps, ">", 0)
+    else:
+        add("eps-positive", False, f"eps {ps.eps} degenerate")
+    compare("z0", "z0", ps.z[0], ">", 1)
     bad_y = [j for j in range(ps.m - 1) if ps.y[j] != 4 * ps.z[j]]
     add(
         "y-ratio",
@@ -284,36 +299,15 @@ def validate_params(ps: ParamSchedule, variant: str = "2.5") -> ParamReport:
     if ps.eps >= 1:
         add("z-v", False, f"eps {ps.eps} >= 1 makes the budget vacuous")
     else:
-        rhs = ps.v * (1 - ps.eps) ** 2
-        add(
-            "z-v",
-            ps.z[-1] <= rhs,
-            f"z_{ps.m - 1} {ps.z[-1]} {'<=' if ps.z[-1] <= rhs else '>'} {rhs}",
-        )
-    z0 = zeta(ps, 0, variant)
-    bound = Fraction(1, 4**ps.m)
-    add(
-        "zeta0",
-        z0 < bound,
-        f"zeta0 {z0} {'<' if z0 < bound else '>='} {bound}",
-    )
+        compare("z-v", f"z_{ps.m - 1}", ps.z[-1], "<=", ps.v * (1 - ps.eps) ** 2)
+    compare("zeta0", "zeta0", zeta(ps, 0, variant), "<", Fraction(1, 4**ps.m))
     for l in range(ps.m - 1):
         if ps.eps >= 1:
             add(f"step{l}", False, f"step{l}: eps {ps.eps} >= 1")
-            continue
-        lhs = (
-            1
-            - Fraction(1, ps.z[-1])
-            - Fraction(1, ps.y[l])
-            - Fraction(1, ps.v) / (1 - ps.eps) ** 2
-            - 2 * ps.eps
-        )
-        rhs = 1 - Fraction(1, ps.z[l])
-        add(
-            f"step{l}",
-            lhs >= rhs,
-            f"step{l} {lhs} {'>=' if lhs >= rhs else '<'} {rhs}",
-        )
+        else:
+            budget = Fraction(1, ps.v) / (1 - ps.eps) ** 2
+            lhs = 1 - Fraction(1, ps.z[-1]) - Fraction(1, ps.y[l]) - budget - 2 * ps.eps
+            compare(f"step{l}", f"step{l}", lhs, ">=", 1 - Fraction(1, ps.z[l]))
     return ParamReport(tuple(checks))
 
 
@@ -321,8 +315,10 @@ def find_params(m: int) -> ParamSchedule:
     """Deterministic witness search: delta and eps on the 4^-a grid, z
     growing by a 4-power factor, v minimal for the budget constraint.
 
-    Demonstrates that the informal smallness requirements are jointly
-    realizable; first success along the scale sequence wins.
+    zeta_0 is affine in eps, so each scale reads its value and slope from
+    `zeta` at eps = 0 and 1.  Demonstrates that the informal smallness
+    requirements are jointly realizable; first success along the scale
+    sequence wins.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -333,21 +329,17 @@ def find_params(m: int) -> ParamSchedule:
         delta = Fraction(1, 4**s)
         z = tuple(2 * 4 ** ((s + 1) * j) for j in range(m))
         y = tuple(4 * zj for zj in z[:-1])
-        const = 2 * m * delta + sum(
-            (Fraction(y[j], z[j + 1]) for j in range(m - 1)), Fraction(0)
-        )
+        at0 = ParamSchedule(m, delta, z, y, Fraction(0), 1)
+        const = zeta(at0, 0)
         if const >= bound:
             continue
-        coef = 2 * m * (1 + delta**-2 * m * z[-1])
-        cap = (bound - const) / coef
-        if m > 1:
-            slack = min(
-                Fraction(1, z[l]) - Fraction(2, z[-1]) - Fraction(1, y[l])
-                for l in range(m - 1)
-            )
-            if slack <= 0:
-                continue
-            cap = min(cap, slack / 2)
+        coef = zeta(replace(at0, eps=Fraction(1)), 0) - const
+        # each step's slack 1/z_l - 2/z_{m-1} - 1/y_l is positive: with
+        # z_{m-1} >= 16 z_l and y_l = 4 z_l it is >= 3/(4 z_l) - 1/(8 z_l)
+        cap = min([(bound - const) / coef] + [
+            (Fraction(1, z[l]) - Fraction(2, z[-1]) - Fraction(1, y[l])) / 2
+            for l in range(m - 1)
+        ])
         b = 1
         while b <= 2000 and Fraction(1, 4**b) >= cap:
             b += 1
@@ -355,7 +347,7 @@ def find_params(m: int) -> ParamSchedule:
             continue
         eps = Fraction(1, 4**b)
         v = max(1, math.ceil(z[-1] / (1 - eps) ** 2))
-        candidate = ParamSchedule(m, delta, z, y, eps, v)
+        candidate = replace(at0, eps=eps, v=v)
         if validate_params(candidate).ok:
             return candidate
     raise SearchExhausted(f"no schedule found for m={m} on the scale grid")

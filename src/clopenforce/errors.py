@@ -11,12 +11,6 @@ class ConstructionError(Exception):
     kind = "construction-error"
 
 
-class NoCoverError(ConstructionError):
-    """No subset of the poset passes the weak finite cover conditions."""
-
-    kind = "no-cover"
-
-
 class LemmaViolated(ConstructionError):
     """Exhaustive search found no witness the halving lemma promises."""
 

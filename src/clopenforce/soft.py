@@ -18,7 +18,6 @@ from operator import or_
 from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
 from .cantor import ClopenSet, measure, positions
-from .errors import NoCoverError
 
 Element = Hashable
 HeightFn = Mapping[Element, int]
@@ -196,7 +195,9 @@ def find_cover(P, h: HeightFn, ps: Sequence[Element], m: int) -> list[Element]:
     Candidates must themselves be incompatible with every member of ps
     (clause (i)); subsets are tried by size, then by id order, and the
     first one dominating every height-<= m target wins.  A candidate
-    dominating no target is skipped: it is in no smallest cover.
+    dominating no target is skipped: it is in no smallest cover.  The
+    search cannot fail: every target is a candidate below itself, so when
+    no smaller subset covers, the whole candidate list does.
     """
     hs = _heights(P, h)
     rows = P.compat_rows()
@@ -204,11 +205,11 @@ def find_cover(P, h: HeightFn, ps: Sequence[Element], m: int) -> list[Element]:
     targets = _at_most(hs, m) & ~reach
     pool = _sorted_ids([e for i, e in enumerate(P.elements) if not reach >> i & 1])
     downs = [(e, d) for e in pool if (d := P.down_row(P.index[e]) & targets)]
-    for size in range(len(downs) + 1):
+    for size in range(len(downs)):
         for qs in itertools.combinations(downs, size):
             if targets & ~reduce(or_, (down for _, down in qs), 0) == 0:
                 return [e for e, _ in qs]
-    raise NoCoverError(f"no weak finite cover for {list(ps)!r} at m={m}")
+    return [e for e, _ in downs]
 
 
 def _prefix_cut(P, rows: list[int], chain: list[int], need: int) -> int:

@@ -1,14 +1,16 @@
 """Shared test helpers: tree-automorphism orbit reduction for exhaustive
 sweeps, by a canonical form built bottom-up from the two halves' (no group
 or per-automorphism table, so depth 4 costs as little per mask as depth 3),
-and seeded random generators for posets, weight families, and trap
-instances."""
+seeded random generators for posets, weight families, and trap instances,
+and a table check for validated-input failures."""
 
 from __future__ import annotations
 
 import functools
 import random
 from fractions import Fraction
+
+import pytest
 
 from clopenforce.cantor import ClopenSet, LevelSet, density_ok
 from clopenforce.coverlemmas import WeightFamily
@@ -172,3 +174,16 @@ def random_pprime_condition(
         B = ClopenSet(depth, mask)
         if density_ok(B, n):
             return PCondition(B, n)
+
+
+# ------------------------------------------------------- input validation
+
+
+def assert_value_errors(cases) -> None:
+    """Each (call, message) pair: call() raises a plain ValueError whose
+    text is exactly message."""
+    for make, message in cases:
+        with pytest.raises(ValueError) as raised:
+            make()
+        assert type(raised.value) is ValueError, message
+        assert str(raised.value) == message

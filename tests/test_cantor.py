@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from kernel_restated import bits, dense_by_counts, leaves, prefix_projection
+from support import assert_value_errors
 
 from clopenforce import cantor
 from clopenforce.cantor import (
@@ -27,6 +28,7 @@ from clopenforce.cantor import (
     full_set,
     level_set,
     levelset_mask,
+    lift_mask,
     measure,
     parse_clopen,
     positions,
@@ -276,6 +278,19 @@ def test_cyl_mask_blocks():
                     for i in range(1 << depth)
                     if bits(i, depth).startswith(node)
                 )
+
+
+def test_kernel_inputs_fail_by_name():
+    assert_value_errors([
+        (lambda: cyl_mask(3, 4, 0), "level out of range"),
+        (lambda: cyl_mask(3, -1, 0), "level out of range"),
+        (lambda: cyl_mask(3, 1, 2), "node index out of range for level"),
+        (lambda: cyl_mask(3, 1, -1), "node index out of range for level"),
+        (lambda: lift_mask(1, 2, 1), "lift must refine"),
+        (lambda: LevelSet(1, 1 << 2), "mask out of range for level"),
+        (lambda: LevelSet(1, -1), "mask out of range for level"),
+        (lambda: parse_clopen("x=2:{00}"), "bad clopen literal: 'x=2:{00}'"),
+    ])
 
 
 def test_canonicalize_examples():

@@ -164,6 +164,15 @@ def test_python_dash_m_matches_dispatch(capsys):
     assert (proc.returncode, proc.stdout) == (code, out.encode())
 
 
+def test_pinned_entry_point_calls_replay_through_dispatch(capsys):
+    # CI replays the same file through the installed `clopenforce` script
+    path = Path(__file__).with_name("entry_point_calls.json")
+    calls = json.loads(path.read_text(encoding="utf-8"))
+    assert calls
+    for call in calls:
+        assert run(capsys, *call["argv"]) == (call["exit"], call["stdout"]), call["argv"][:4]
+
+
 def test_eps_min_k_and_binom(capsys):
     code, out = run(capsys, "eps", "--kprime", "1", "--bound", "1/16")
     assert code == 0 and out == "5\n"
@@ -206,6 +215,8 @@ def test_usage_errors(capsys):
     ):
         code, out = run(capsys, *argv)
         assert code == 2 and out.startswith("usage-error:"), argv
+    code, out = run(capsys, "pforce", "cover", "-b", B, "-b", B, "--against", TOP, "--k", "2")
+    assert (code, out) == (2, "usage-error: --against only pairs with a single -b condition\n")
 
 
 def test_poset_errors_do_not_depend_on_the_hash_seed():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import lemmas_restated
-from support import random_shrink_family, random_weight_family
+from support import assert_value_errors, random_shrink_family, random_weight_family
 
 from clopenforce.cantor import LevelSet
 from clopenforce import coverlemmas
@@ -36,6 +36,21 @@ def test_weight_family_validation():
         WeightFamily(2, 1, z, ((0b0011, Fraction(-1)),))
     with pytest.raises(ValueError):
         WeightFamily(2, 1, LevelSet(1, 0b11), ())  # wrong level
+
+
+def test_lemma_inputs_fail_by_name():
+    one = Fraction(1)
+    full = WeightFamily(2, 1, full_level(2), ())
+    wide = LevelSet(5, (1 << 21) - 1)
+    assert_value_errors([
+        (lambda: WeightFamily(-1, 1, LevelSet(0, 0), ()), "level must be nonnegative"),
+        (lambda: WeightFamily(1, 1, full_level(1), ((0b100, one),)), "weighted set out of range"),
+        (lambda: WeightFamily(1, 1, full_level(1), ((-1, one),)), "weighted set out of range"),
+        (lambda: WeightFamily(1, 1, full_level(1), ((0b11, one), (0b11, one))),
+         "duplicate weighted set"),
+        (lambda: split_goodness(wide, wide.mask, 1), "exhaustive count restricted to |Z| <= 20"),
+        (lambda: shrink(full, one, -1), "m must be nonnegative"),
+    ])
 
 
 def test_halve_once_zero_weights():

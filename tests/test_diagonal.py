@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 import lemmas_restated
+from support import assert_value_errors
 
 from clopenforce.cantor import ClopenSet, canonicalize, full_set, level_set, measure
 from clopenforce.diagonal import (
+    ChainReport,
     DiagonalChain,
     ParamSchedule,
     ProductCondition,
@@ -97,6 +99,29 @@ def test_chain_key_validation():
         DiagonalChain(
             1, {((0,), (1,), 0): ProductCondition(full_set(2), full_set(2))}
         )  # length not below order
+
+
+def test_chain_inputs_fail_by_name():
+    half, quarter = canonicalize(["0"], 2), canonicalize(["00"], 2)
+    whole = ProductCondition(full_set(2), full_set(2))
+    parent = ProductCondition(half, quarter)
+    assert_value_errors([
+        (lambda: ProductCondition(ClopenSet(2, 0), half),
+         "product conditions need positive measure"),
+        (lambda: ProductCondition(half, ClopenSet(2, 0)),
+         "product conditions need positive measure"),
+        (lambda: is_quadratic(ProductCondition(quarter, canonicalize(["01"], 2)), parent),
+         "second coordinate not nested in parent"),
+        (lambda: DiagonalChain(0, {}), "order must be positive"),
+        (lambda: DiagonalChain(2, {((0,), (0,), 0): whole}),
+         "index strings must differ coordinatewise: (0,)/(0,)"),
+        (lambda: DiagonalChain(1, {((), (), -1): whole}), "entry index must be nonnegative"),
+        (lambda: zeta(example_schedule(), 0, "2.7"), "unknown zeta variant '2.7'"),
+    ])
+
+
+def test_verify_chain_of_no_entries_is_empty():
+    assert verify_chain(DiagonalChain(1, {}), 3) == ChainReport((), 0, 0)
 
 
 def example_schedule():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from support import assert_value_errors
+
 from clopenforce.cantor import LevelSet, lift_mask
 from clopenforce.errors import SelectionExhausted
 from clopenforce.nullcover import (
@@ -176,6 +178,26 @@ def test_block_tree_splits_at_every_boundary():
         prefixes = {s[:level] for s in branches.nodes()}
         deeper = {s[: level + (level != 6)] for s in branches.nodes()}
         assert len(prefixes) * 2 >= len(deeper)
+
+
+def test_null_cover_inputs_fail_by_name():
+    deep = LevelCover(tuple((n, LevelSet(n, 0)) for n in range(22)))
+    tree = BlockTree("0000", (0, 2, 4), 4)
+    whole = part([(0, 4)])
+    assert_value_errors([
+        (lambda: LevelCover(((0, LevelSet(0, 0)), (2, LevelSet(1, 0)))),
+         "set at index 2 lives at the wrong level"),
+        (lambda: union_measure(deep, range(1, 22)),
+         "inclusion-exclusion restricted to <= 20 indices"),
+        (lambda: select_sparse([3, -1], [whole]), "points must be nonnegative"),
+        (lambda: BlockTree("0000", (0, 2, 2, 4), 4), "boundaries must increase strictly"),
+        (lambda: avoidance_check(tree, whole, [], [2]),
+         "need one K set and one split point per interval"),
+        (lambda: avoidance_check(tree, whole, [frozenset()], []),
+         "need one K set and one split point per interval"),
+        (lambda: avoidance_check(tree, whole, [frozenset()], [4]),
+         "split point for interval 0 outside [0, 4)"),
+    ])
 
 
 def test_avoidance_vacuous_and_aligned():

@@ -14,7 +14,13 @@ import pytest
 
 import oracle_restated
 from kernel_restated import dense_by_counts, leaves, prefix_projection
-from support import automorphism, canon, pair_orbits, random_pprime_condition
+from support import (
+    assert_value_errors,
+    automorphism,
+    canon,
+    pair_orbits,
+    random_pprime_condition,
+)
 
 from clopenforce import perfectposet
 from clopenforce.cantor import (
@@ -51,8 +57,10 @@ def cond(nodes, depth, n):
 
 
 def test_pcondition_validation():
-    # every constructor check of a condition and of its set, with its message
-    for make, message in [
+    # every constructor check of a condition and of its set, with its
+    # message, and the checks of the calls that take one
+    wide = PCondition(full_set(5), 0)
+    assert_value_errors([
         (lambda: ClopenSet(-1, 0), f"depth -1 outside 0..{MAX_DEPTH}"),
         (lambda: ClopenSet(MAX_DEPTH + 1, 0), f"depth {MAX_DEPTH + 1} outside 0..{MAX_DEPTH}"),
         (lambda: ClopenSet(2, 1 << 4), "mask out of range for depth"),
@@ -60,10 +68,11 @@ def test_pcondition_validation():
         (lambda: PCondition(full_set(2), 3), "commitment level 3 out of range"),
         (lambda: PCondition(full_set(2), -1), "commitment level -1 out of range"),
         (lambda: PCondition(ClopenSet(2, 0), 0), "conditions need positive measure"),
-    ]:
-        with pytest.raises(ValueError) as raised:
-            make()
-        assert str(raised.value) == message
+        (lambda: parse_pcondition("d=2:{00}, n=1"), "bad condition literal: 'd=2:{00}, n=1'"),
+        (lambda: parse_pcondition("(d=2:{00}, k=1)"), "bad condition literal: '(d=2:{00}, k=1)'"),
+        (lambda: compat_oracle(wide, wide), "oracle restricted to intersections of <= 24 nodes"),
+        (lambda: prune_to_dense(full_set(2), 3), "level exceeds depth"),
+    ])
 
 
 def test_conditions_are_slotted_values():

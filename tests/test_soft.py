@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import chain_heights, greedy_max_antichain, random_poset
+from support import assert_value_errors, chain_heights, greedy_max_antichain, random_poset
 
 from clopenforce.cantor import ClopenSet, canonicalize, full_set
 from clopenforce.perfectposet import DeskPoset
@@ -168,6 +168,20 @@ def test_error_messages():
         star_witness(P, hp, ["x", "y", "z", "w"], 0)
     with pytest.raises(ValueError, match="^not an antichain: 'a' and 'a' are compatible$"):
         star_witness(Q, h0, ["a", "b", "a"], 0)
+
+
+def test_poset_inputs_fail_by_name():
+    Q = antichain_poset("ab")
+    zero = {e: 0 for e in Q.elements}
+    assert_value_errors([
+        (lambda: FinitePoset(["a", "b", "a", "top"], [], "top"), "duplicate elements"),
+        (lambda: product_height_step(-1, 0, 0, False),
+         "heights and support sizes are nonnegative"),
+        (lambda: product_height_step(1, 0, -1, True),
+         "heights and support sizes are nonnegative"),
+        (lambda: product_poset(Q, zero, dict(zero, top=1), Q, zero),
+         "support of the top element must be 0"),
+    ])
 
 
 def test_non_element_in_antichain_is_a_value_error():
