@@ -169,8 +169,8 @@ def test_pinned_entry_point_calls_replay_through_dispatch(capsys):
     path = Path(__file__).with_name("entry_point_calls.json")
     calls = json.loads(path.read_text(encoding="utf-8"))
     assert calls
-    for call in calls:
-        assert run(capsys, *call["argv"]) == (call["exit"], call["stdout"]), call["argv"][:4]
+    for index, call in enumerate(calls):
+        assert run(capsys, *call["argv"]) == (call["exit"], call["stdout"]), (index, call["argv"])
 
 
 def test_eps_min_k_and_binom(capsys):
