@@ -14,8 +14,11 @@ import pytest
 
 from clopenforce.cantor import ClopenSet, LevelSet, density_ok
 from clopenforce.coverlemmas import WeightFamily
+from clopenforce.nullcover import BlockTree, IntervalPartition
 from clopenforce.perfectposet import PCondition
 from clopenforce.soft import FinitePoset
+
+import nullcover_restated
 
 
 # ------------------------------------------------------- tree automorphisms
@@ -174,6 +177,52 @@ def random_pprime_condition(
         B = ClopenSet(depth, mask)
         if density_ok(B, n):
             return PCondition(B, n)
+
+
+def random_bits(rng: random.Random, width: int) -> str:
+    return "".join(rng.choice("01") for _ in range(width))
+
+
+def random_block_tree(rng: random.Random, max_depth: int = 12) -> BlockTree:
+    """A tree over a random r whose boundaries may run past its depth."""
+    r = random_bits(rng, rng.randint(1, max_depth))
+    cuts = rng.sample(range(1, len(r) + 4), rng.randint(0, min(6, len(r) + 3)))
+    d = sorted({0, len(r), *cuts})
+    inside = [b for b in d if b <= len(r)]
+    depth = len(r) if rng.random() < 0.7 else rng.choice(inside)
+    return BlockTree(r, tuple(d), depth)
+
+
+def random_trap_instance(rng: random.Random, depth: int):
+    """An avoidance instance shaped like the acceptance criterion's, then
+    varied so every report field moves: the tree may end before the last
+    interval, split points may move off the tree's cuts (misaligned
+    intervals), traps may be empty, and each K is the splice closure
+    thinned at random (counterexamples).  Built from the restated
+    functions, so the instance does not depend on the code under test.
+    Returns (tree, partition, K, points)."""
+    cuts = sorted(rng.sample(range(1, depth), rng.randint(1, min(4, depth - 1))))
+    bounds = [0, *cuts, depth]
+    intervals = tuple(zip(bounds, bounds[1:]))
+    points = [rng.randrange(lo, hi) for lo, hi in intervals]
+    end = depth if rng.random() < 0.7 else rng.choice(bounds)
+    d = sorted({0, end, *(p for p in points if 0 < p < end)})
+    tree = BlockTree(random_bits(rng, depth), tuple(d), end)
+    branches = nullcover_restated.block_tree_branches(tree).nodes()
+    points = [p if rng.random() < 0.8 else rng.randrange(lo, hi)
+              for p, (lo, hi) in zip(points, intervals)]
+    traps = []
+    for lo, hi in intervals:
+        trap = {random_bits(rng, hi - lo) for _ in range(rng.randint(0, 2))}
+        if hi <= end and rng.random() < 0.6:
+            trap.add(rng.choice(branches)[lo:hi])  # a real hit
+        traps.append(frozenset(trap))
+    K = []
+    for trap, interval, p in zip(traps, intervals, points):
+        closure = nullcover_restated.kn_set(trap, interval, p)
+        keep = 1.0 if rng.random() < 0.5 else rng.random()
+        K.append(frozenset(s for s in closure if rng.random() < keep))
+    return tree, IntervalPartition(intervals, tuple(traps)), K, points
 
 
 # ------------------------------------------------------- input validation

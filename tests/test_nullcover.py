@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from support import assert_value_errors
+import nullcover_restated as ref
+from support import (
+    assert_value_errors,
+    random_bits,
+    random_block_tree,
+    random_trap_instance,
+)
 
 from clopenforce.cantor import LevelSet, lift_mask
 from clopenforce.errors import SelectionExhausted
@@ -220,3 +226,42 @@ def test_avoidance_needs_the_splice_closure():
     # the full splice closure at the boundary point repairs it
     rep = avoidance_check(t, p, [kn_set({"0011"}, (0, 4), 2)], [2])
     assert rep.ok
+
+
+def test_trap_layer_matches_restated_on_trap_instances():
+    rng = random.Random(18)
+    counterexamples = misaligned = short = 0
+    for _ in range(600):
+        tree, p, K, points = random_trap_instance(rng, rng.randint(4, 12))
+        rep = avoidance_check(tree, p, K, points)
+        assert rep == ref.avoidance_check(tree, p, K, points)
+        for J, interval, point in zip(p.traps, p.intervals, points):
+            assert kn_set(J, interval, point) == ref.kn_set(J, interval, point)
+        end = p.intervals[-1][1]
+        S = [x for x in range(end + 2) if rng.random() < 0.6]
+        cuts = sorted(rng.sample(range(1, end), rng.randint(0, 3)))
+        parts = [p, part(list(zip([0, *cuts], [*cuts, end])))]
+        assert select_sparse(S, parts) == ref.select_sparse(S, parts)
+        counterexamples += bool(rep.counterexamples)
+        misaligned += bool(rep.misaligned_intervals)
+        short += tree.depth < p.intervals[-1][1]
+    # the generator reaches every kind of report
+    assert min(counterexamples, misaligned, short) > 30
+
+
+def test_kn_set_matches_restated_at_every_split_point():
+    rng = random.Random(19)
+    for width in range(1, 11):
+        lo = rng.randint(0, 5)
+        for i_point in range(lo, lo + width):
+            for size in (0, 1, 3):
+                J = {random_bits(rng, width) for _ in range(size)}
+                interval = (lo, lo + width)
+                assert kn_set(J, interval, i_point) == ref.kn_set(J, interval, i_point)
+
+
+def test_block_tree_branches_match_restated():
+    rng = random.Random(20)
+    for _ in range(600):
+        tree = random_block_tree(rng)
+        assert block_tree_branches(tree) == ref.block_tree_branches(tree)
