@@ -418,6 +418,9 @@ def _soft_escape(args) -> int:
 
 
 MAX_PAIRS = 15  # 2^pairs blame sets: 0.9 s at 15 pairs of 4-element posets
+# 2^blocks branches at depth 24: ncov tree lists 16,384 in 0.3 s; ncov avoid
+# takes 1.4 s when each is a counterexample on 24 one-bit intervals
+MAX_TREE_BLOCKS = 14
 
 
 @_verb("soft product", soft.product_cover, soft.product_height_step,
@@ -562,11 +565,21 @@ def _ncov_kn(args) -> int:
     return 0
 
 
+def _block_tree(r: str, d: list, depth: int) -> nullcover.BlockTree:
+    """The tree, refused before its branches are listed or walked when it
+    has more than MAX_TREE_BLOCKS blocks."""
+    tree = nullcover.BlockTree(r, tuple(d), depth)
+    if len(tree.blocks()) > MAX_TREE_BLOCKS:
+        raise ValueError(f"{len(tree.blocks())} blocks: block trees stop at "
+                         f"{MAX_TREE_BLOCKS}")
+    return tree
+
+
 @_verb("ncov tree", nullcover.block_tree_branches, flags=(
     _flag("--r", default=""), _flag("--d", type=int, nargs="*", default=[0]),
     _flag("--level", type=int, default=0)))
 def _ncov_tree(args) -> int:
-    tree = nullcover.BlockTree(args.r, tuple(args.d), args.level)
+    tree = _block_tree(args.r, args.d, args.level)
     branches = nullcover.block_tree_branches(tree)
     _emit_json(list(branches.nodes()))
     return 0
@@ -575,7 +588,7 @@ def _ncov_tree(args) -> int:
 @_verb("ncov avoid", nullcover.avoidance_check, flags=PAYLOAD)
 def _ncov_avoid(args) -> int:
     obj = _load_payload(args)
-    tree = nullcover.BlockTree(obj["r"], tuple(obj["d"]), int(obj["depth"]))
+    tree = _block_tree(obj["r"], obj["d"], int(obj["depth"]))
     part = _partition_from_json(obj["partition"])
     k_sets = [frozenset(ks) for ks in obj["K"]]
     points = [int(x) for x in obj["points"]]

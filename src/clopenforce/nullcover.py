@@ -5,7 +5,9 @@ covered null set is "hit Z_m at infinitely many m", finitized here to
 explicit index sets plus an exact tail budget.  The second half implements
 interval partitions with trap sets, sparse point selection, the four-way
 splice closure of a trap set, and the branch-versus-trap avoidance check
-for block trees.
+for block trees.  It works on integer segments: each trap string is checked
+and read once, by `_segments`, splices are XORs and the branches of a block
+tree are one mask built by shifts.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cantor import LevelSet, lift_mask, node_bits, positions
+from .cantor import LevelSet, check_depth, lift_mask, node_bits, positions
 from .errors import SelectionExhausted
 
 __all__ = [
@@ -98,6 +100,16 @@ def union_measure(cover: LevelCover, S: Iterable[int]) -> Fraction:
     return total
 
 
+def _segments(strings: Iterable[str], lo: int, hi: int) -> set[int]:
+    """The trap strings indexing [lo, hi), as (hi - lo)-bit integers."""
+    out = set()
+    for s in strings:
+        if len(s) != hi - lo or any(ch not in "01" for ch in s):
+            raise ValueError(f"trap {s!r} does not index [{lo}, {hi})")
+        out.add(int(s, 2))
+    return out
+
+
 @dataclass(frozen=True)
 class IntervalPartition:
     """Consecutive finite intervals [lo, hi) tiling an initial segment,
@@ -114,9 +126,7 @@ class IntervalPartition:
             if lo != expected_lo or hi <= lo:
                 raise ValueError(f"bad interval [{lo}, {hi})")
             expected_lo = hi
-            for s in J:
-                if len(s) != hi - lo or any(ch not in "01" for ch in s):
-                    raise ValueError(f"trap {s!r} does not index [{lo}, {hi})")
+            _segments(J, lo, hi)
 
     def summability(self) -> Fraction:
         return sum(
@@ -146,16 +156,9 @@ def select_sparse(
     for x in sorted(set(S)):
         if x < 0:
             raise ValueError("points must be nonnegative")
-        keys = []
-        blocked = False
-        for pi, part in enumerate(parts):
-            idx = part.interval_index(x)
-            if idx is not None:
-                if (pi, idx) in used:
-                    blocked = True
-                    break
-                keys.append((pi, idx))
-        if not blocked:
+        keys = [(pi, idx) for pi, part in enumerate(parts)
+                if (idx := part.interval_index(x)) is not None]
+        if used.isdisjoint(keys):
             chosen.append(x)
             used.update(keys)
     if count is not None and len(chosen) < count:
@@ -163,31 +166,25 @@ def select_sparse(
     return chosen
 
 
-def _flip(s: str) -> str:
-    return "".join("1" if ch == "0" else "0" for ch in s)
-
-
 def kn_set(J: Iterable[str], interval: tuple[int, int], i_point: int) -> frozenset[str]:
     """Four-way splice closure of a trap set at the split point.
 
     A string lands in K when it, its flip, or either of its two splices at
     i_point (flip one side only) lands in J.  The four maps are
-    involutions, so K is the union of the four images of J.
+    involutions, so K is the union of the four images of J: a segment XORed
+    with nothing, with all ones, with the ones after the cut and with the
+    ones up to it.
     """
     lo, hi = interval
     if not lo <= i_point < hi:
         raise ValueError("split point must lie inside the interval")
-    cut = i_point - lo
-    width = hi - lo
-    out: set[str] = set()
-    for s in J:
-        if len(s) != width or any(ch not in "01" for ch in s):
-            raise ValueError(f"trap {s!r} does not index [{lo}, {hi})")
-        out.add(s)
-        out.add(_flip(s))
-        out.add(s[:cut] + _flip(s[cut:]))
-        out.add(_flip(s[:cut]) + s[cut:])
-    return frozenset(out)
+    segments = _segments(J, lo, hi)
+    if not segments:  # then no checked string bounds hi - lo, the masks' width
+        return frozenset()
+    ones, after = (1 << hi - lo) - 1, (1 << hi - i_point) - 1
+    spec = f"0{hi - lo}b"  # node_bits' format, built once rather than per image
+    return frozenset([format(y, spec) for x in segments
+                      for y in (x, x ^ ones, x ^ after, x ^ ones ^ after)])
 
 
 @dataclass(frozen=True)
@@ -210,6 +207,7 @@ class BlockTree:
             raise ValueError("depth exceeds the provided prefix of r")
         if self.depth not in self.d:
             raise ValueError("depth not aligned to a block boundary")
+        check_depth(self.depth, "level")
 
     def blocks(self) -> list[tuple[int, int]]:
         return [
@@ -220,18 +218,15 @@ class BlockTree:
 
 
 def block_tree_branches(tree: BlockTree) -> LevelSet:
-    """All strings matching r or its flip blockwise: 2^#blocks branches."""
-    branches = [0]
-    for lo, hi in tree.blocks():
-        w = hi - lo
-        rblock = int(tree.r[lo:hi], 2)
-        fblock = rblock ^ ((1 << w) - 1)
-        branches = [b << w | rblock for b in branches] + [
-            b << w | fblock for b in branches
-        ]
-    mask = 0
-    for b in branches:
-        mask |= 1 << b
+    """All strings matching r or its flip blockwise: 2^#blocks branches,
+    one mask built from the last block up (putting a block's value a in
+    front of every `width`-bit suffix shifts the mask by a << width)."""
+    mask, width = 1, 0
+    for lo, hi in reversed(tree.blocks()):
+        a = int(tree.r[lo:hi], 2)
+        flip = a ^ ((1 << hi - lo) - 1)
+        mask = mask << (a << width) | mask << (flip << width)
+        width += hi - lo
     return LevelSet(tree.depth, mask)
 
 
@@ -263,37 +258,34 @@ def avoidance_check(
     """
     if not len(part.intervals) == len(K) == len(sparse_points):
         raise ValueError("need one K set and one split point per interval")
-    active = [
-        (idx, lo, hi)
-        for idx, (lo, hi) in enumerate(part.intervals)
-        if hi <= tree.depth
-    ]
-    for idx, lo, hi in active:
-        if not lo <= sparse_points[idx] < hi:
+    # per interval inside the tree: (idx, shift, width mask, traps, whether
+    # K registers r's segment)
+    active = []
+    misaligned = []
+    for idx, (lo, hi) in enumerate(part.intervals):
+        k_segments = _segments(K[idx], lo, hi)
+        if hi > tree.depth:
+            continue
+        point = sparse_points[idx]
+        if not lo <= point < hi:
             raise ValueError(f"split point for interval {idx} outside [{lo}, {hi})")
-    traps_int = [{int(s, 2) for s in J} if J else set() for J in part.traps]
-    k_int = [{int(s, 2) for s in ks} for ks in K]
-    r_int = [
-        int(tree.r[lo:hi], 2) for idx, lo, hi in active
-    ]
-    misaligned = tuple(
-        idx
-        for idx, lo, hi in active
-        if any(lo < b < hi and b != sparse_points[idx] for b in tree.d)
-    )
+        if any(lo < b < hi and b != point for b in tree.d):
+            misaligned.append(idx)
+        active.append((idx, tree.depth - hi, (1 << hi - lo) - 1,
+                       _segments(part.traps[idx], lo, hi),
+                       int(tree.r[lo:hi], 2) in k_segments))
     counterexamples: list[tuple[str, int]] = []
     hits = 0
     branch_mask = block_tree_branches(tree).mask
     for branch in positions(branch_mask):
-        for pos, (idx, lo, hi) in enumerate(active):
-            seg = (branch >> (tree.depth - hi)) & ((1 << (hi - lo)) - 1)
-            if seg in traps_int[idx]:
+        for idx, shift, width_mask, traps, registered in active:
+            if (branch >> shift & width_mask) in traps:
                 hits += 1
-                if r_int[pos] not in k_int[idx]:
+                if not registered:
                     counterexamples.append((node_bits(branch, tree.depth), idx))
     return AvoidanceReport(
         tuple(counterexamples),
-        misaligned,
+        tuple(misaligned),
         branch_mask.bit_count(),
         hits,
     )

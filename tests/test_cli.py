@@ -610,11 +610,28 @@ def product_pairs(count: int) -> str:
                        "second": POSET, "pairs": pairs})
 
 
+def block_tree_args(blocks: int) -> list[str]:
+    """`ncov tree` flags for a tree of `blocks` one-bit blocks."""
+    return ["--r", "0" * blocks, "--d", *map(str, range(blocks + 1)),
+            "--level", str(blocks)]
+
+
+def block_tree_instance(blocks: int) -> str:
+    """An `ncov avoid` payload over a tree of `blocks` one-bit blocks, each
+    its own trap-free interval."""
+    units = [[i, i + 1] for i in range(blocks)]
+    return json.dumps({"r": "0" * blocks, "d": list(range(blocks + 1)),
+                       "depth": blocks, "points": list(range(blocks)),
+                       "K": [[]] * blocks,
+                       "partition": {"intervals": units, "J": [[]] * blocks}})
+
+
 def test_oversized_depths_exit_2(capsys):
     # a depth or level above cantor.MAX_DEPTH, a count above its ceiling, an
-    # eps below its floor or a subset table over MAX_TABLE_NODES nodes is a
-    # usage error, raised before any mask of 2^depth bits or any table is
-    # built or any round run
+    # eps below its floor, a subset table over MAX_TABLE_NODES nodes or a
+    # block tree over MAX_TREE_BLOCKS blocks is a usage error, raised before
+    # any mask of 2^depth bits or any table is built, any round run or any
+    # branch walked
     huge = str(HUGE)
     for argv in (
         ("eps", "--k", str(cli.MAX_K + 1), "--kprime", "1"),
@@ -645,6 +662,8 @@ def test_oversized_depths_exit_2(capsys):
         ("pforce", "oracle-check", "-b", leaves(5, MAX_TABLE_NODES), "--against",
          leaves(5, MAX_TABLE_NODES + 1), "--k", "0"),
         ("soft", "product", "--json", product_pairs(cli.MAX_PAIRS + 1)),
+        ("ncov", "tree", *block_tree_args(cli.MAX_TREE_BLOCKS + 1)),
+        ("ncov", "avoid", "--json", block_tree_instance(cli.MAX_TREE_BLOCKS + 1)),
         ("diag", "build", "--m", "1", "--granularity", "2", "--v", "3",
          "--depth", str(cli.MAX_BUILD_DEPTH + 1)),
         # chains listing 196,608, 7,929,856 and 3,735,552 leaves
@@ -681,6 +700,9 @@ def test_oversized_depths_exit_2(capsys):
          '"uncovered":[]}\n'),
         (("soft", "product", "--m", "1", "--json", product_pairs(cli.MAX_PAIRS)),
          '{"cover":[],"verified":true}\n'),
+        (("ncov", "avoid", "--json", block_tree_instance(cli.MAX_TREE_BLOCKS)),
+         f'{{"branches":{1 << cli.MAX_TREE_BLOCKS},"counterexamples":[],'
+         '"misaligned":[],"ok":true,"trap_hits":0}\n'),
     ):
         assert run(capsys, *argv) == (0, want), argv
     # a chain listing exactly MAX_CHAIN_LEAVES leaves is built

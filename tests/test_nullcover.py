@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from support import (
     random_trap_instance,
 )
 
+from clopenforce import nullcover
 from clopenforce.cantor import LevelSet, lift_mask
 from clopenforce.errors import SelectionExhausted
 from clopenforce.nullcover import (
@@ -190,6 +195,7 @@ def test_null_cover_inputs_fail_by_name():
     deep = LevelCover(tuple((n, LevelSet(n, 0)) for n in range(22)))
     tree = BlockTree("0000", (0, 2, 4), 4)
     whole = part([(0, 4)])
+    halves = part([(0, 2), (2, 4)], [{"00"}, set()])
     assert_value_errors([
         (lambda: LevelCover(((0, LevelSet(0, 0)), (2, LevelSet(1, 0)))),
          "set at index 2 lives at the wrong level"),
@@ -203,6 +209,17 @@ def test_null_cover_inputs_fail_by_name():
          "need one K set and one split point per interval"),
         (lambda: avoidance_check(tree, whole, [frozenset()], [4]),
          "split point for interval 0 outside [0, 4)"),
+        # "0" and "00" are both 0 as integers: a K string shorter than its
+        # interval once registered r's segment and passed the check
+        (lambda: avoidance_check(tree, halves, [frozenset({"0"}), frozenset()], [1, 3]),
+         "trap '0' does not index [0, 2)"),
+        (lambda: avoidance_check(tree, halves, [frozenset({"0b0"}), frozenset()], [1, 3]),
+         "trap '0b0' does not index [0, 2)"),
+        # every K set is checked, also on an interval the tree does not reach
+        (lambda: avoidance_check(BlockTree("0000", (0, 2), 2), halves,
+                                 [frozenset(), frozenset({"1"})], [1, 3]),
+         "trap '1' does not index [2, 4)"),
+        (lambda: BlockTree("0" * 100, (0, 100), 100), "level 100 outside 0..24"),
     ])
 
 
@@ -265,3 +282,25 @@ def test_block_tree_branches_match_restated():
     for _ in range(600):
         tree = random_block_tree(rng)
         assert block_tree_branches(tree) == ref.block_tree_branches(tree)
+
+
+def test_deep_block_tree_builds_in_time():
+    # 13 blocks at depth 24: listing 8,192 branch ints and ORing one bit per
+    # branch into the 2^24-bit mask took 4 to 7 s on a 2-core VM
+    code = (
+        "import time\n"
+        "from clopenforce.nullcover import BlockTree, block_tree_branches\n"
+        "tree = BlockTree('01' * 12, (0, *range(12, 25)), 24)\n"
+        "start = time.perf_counter()\n"
+        "branches = block_tree_branches(tree)\n"
+        "print(len(tree.blocks()), len(branches), time.perf_counter() - start)\n"
+    )
+    src = str(Path(nullcover.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    blocks, branches, seconds = done.stdout.split()
+    assert (blocks, branches) == ("13", str(1 << 13))
+    assert float(seconds) < 1.0
