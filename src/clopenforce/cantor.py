@@ -116,11 +116,11 @@ for _bit in range(8):
 # depth 4 in under a millisecond)
 TABLE_DEPTH = 4
 """Deepest depth whose projections and densities are byte tables."""
-# beyond the tables a mask is walked node by node, one pass over the mask
-# per node, for its first _WALK_NODES nodes; the rest is one pass over its
-# bytes, each the depth-3 subtree below a level-(depth-3) node.  The byte
-# pass costs about as much as 10 to 16 steps of the walk at depths 5 to 12,
-# so sparse masks keep the walk and no mask costs more than linear time.
+# beyond the tables a projection is one pass over the mask's bytes, each the
+# depth-3 subtree below a level-(depth-3) node.  A density test walks the
+# mask node by node, as the walk stops at the first thin node, and its rest
+# after _WALK_NODES nodes is one byte pass: that costs about 2 walk steps at
+# level 1 and within 3 of the depth, 15 to 30 in between (depths 5 to 16).
 _WALK_NODES = 16
 _BYTE_DEPTH = 3
 
@@ -129,7 +129,7 @@ _BYTE_DEPTH = 3
 def projections(depth: int) -> tuple:
     """P with P[level][mask] == levelset_mask(mask, depth, level) for every
     level 0..depth, for loops that project many masks at one depth: byte
-    tables at depth <= 4, beyond them readers over the node walk.  A read
+    tables at depth <= 4, beyond them readers over one byte pass.  A read
     is not range checked, so pass only masks of validated conditions or
     their submasks.
 
@@ -195,50 +195,30 @@ class _Reader:
         return self.kernel(mask, self.depth, self.level)
 
 
-def _pack(values: bytes, width: int) -> int:
-    """The int holding values[i] (each below 2^width, width 1, 2 or 4) in
-    bits i*width ... (i+1)*width - 1.
-
-    OR-ing in x >> r*(8 - width) for r < 8/width moves the 8/width values
-    of each group of bytes into the group's first byte, which the slice
-    keeps.
-    """
-    x = int.from_bytes(values, "little")
-    step = 8 - width
-    while step < 8 * (8 - width) // width:
-        x |= x >> step
-        step *= 2
-    return int.from_bytes(x.to_bytes(len(values), "little")[:: 8 // width], "little")
-
-
 def _project(mask: int, depth: int, level: int) -> int:
-    """levelset_mask beyond the tables, unchecked."""
-    if level == depth:
-        return mask
-    shift = depth - level
-    out = 0
-    walk = _WALK_NODES
-    while mask:
-        if not walk:
-            return out | _project_bytes(mask, depth, level)
-        walk -= 1
-        j = (mask & -mask).bit_length() - 1 >> shift
-        out |= 1 << j
-        # skip the rest of this node's block: nothing below it is left
-        mask &= -1 << (j + 1 << shift)
-    return out
-
-
-def _project_bytes(mask: int, depth: int, level: int) -> int:
-    """_project in one pass over mask's bytes (level < depth)."""
-    data = mask.to_bytes(1 << depth - _BYTE_DEPTH, "little")
+    """levelset_mask beyond the tables, unchecked: one pass over mask's
+    bytes from its highest leaf down to its lowest, each byte the depth-3
+    subtree below a level-(depth-3) node.  A byte becomes the digit of its
+    own trace, and the digits read in base 2^(2^sub) are the mask's
+    (power-of-two bases are exempt from int_max_str_digits)."""
     up = depth - level
+    if not up or not mask:
+        return mask
+    sub = max(_BYTE_DEPTH - up, 0)
+    low = (mask & -mask).bit_length() - 1 >> 3  # zero bytes below the lowest leaf
+    mask >>= low << 3
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "big")
+    trace = int(data.translate(_digits(sub)), 1 << (1 << sub)) << (low << sub)
     if up <= _BYTE_DEPTH:
-        sub = _BYTE_DEPTH - up
-        return _pack(data.translate(projections(_BYTE_DEPTH)[sub]), 1 << sub)
-    # coarser: project the set of nonempty subtrees, a depth-3-shallower mask
-    nonempty = _pack(data.translate(projections(_BYTE_DEPTH)[0]), 1)
-    return projections(depth - _BYTE_DEPTH)[level][nonempty]
+        return trace
+    # coarser: trace is the set of nonempty subtrees, a depth-3-shallower mask
+    return projections(depth - _BYTE_DEPTH)[level][trace]
+
+
+@cache
+def _digits(sub: int) -> bytes:
+    """Byte -> the hex digit of its level-`sub` trace as a depth-3 mask."""
+    return bytes(b"0123456789abcdef"[t] for t in projections(_BYTE_DEPTH)[sub])
 
 
 def _dense(mask: int, depth: int, level: int) -> bool:
@@ -306,15 +286,31 @@ def dense_mask(mask: int, depth: int, level: int) -> bool:
 
 
 def lift_mask(mask: int, level_from: int, level_to: int) -> int:
-    """Expand a level set mask to all its descendants at a finer level."""
+    """Expand a level set mask to all its descendants at a finer level.
+
+    Each set bit's block is OR-ed in while mask has at most _WALK_BITS set
+    bits, as `positions` splits; beyond, it goes into one bytearray."""
     if level_to < level_from:
         raise ValueError("lift must refine")
+    if level_to > MAX_DEPTH:
+        raise ValueError("level out of range")
+    _check_mask(mask, level_from)
     width = 1 << (level_to - level_from)
     block = (1 << width) - 1
-    out = 0
-    for j in positions(mask):
-        out |= block << (j * width)
-    return out
+    if mask.bit_count() <= _WALK_BITS:
+        out = 0
+        for j in positions(mask):
+            out |= block << (j * width)
+        return out
+    buf = bytearray(mask.bit_length() * width + 7 >> 3)
+    if width <= 8:  # a block within one byte
+        for j in positions(mask):
+            buf[j * width >> 3] |= block << (j * width & 7)
+    else:
+        ones = b"\xff" * (width >> 3)
+        for j in positions(mask):
+            buf[j * len(ones):(j + 1) * len(ones)] = ones
+    return int.from_bytes(buf, "little")
 
 
 @dataclass(frozen=True)

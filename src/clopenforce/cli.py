@@ -136,7 +136,7 @@ def _cover_from_json(obj: list) -> nullcover.LevelCover:
 def _partition_from_json(obj: dict) -> nullcover.IntervalPartition:
     return nullcover.IntervalPartition(
         tuple((int(lo), int(hi)) for lo, hi in obj["intervals"]),
-        tuple(frozenset(js) for js in obj["J"]),
+        tuple(tuple(dict.fromkeys(js)) for js in obj["J"]),  # payload order
     )
 
 
@@ -537,10 +537,24 @@ def _ncov_budget(args) -> int:
     return 0 if report.ok else 1
 
 
+# inclusion-exclusion over k indices of a cover reaching `depth` makes 2^k
+# terms, each up to k ANDs of 2^depth-bit masks, and a term costs no less
+# than at depth 16: 16 indices at depth 2 or 16, 12 at depth 20 and 8 at
+# depth 24 take 0.3 to 1.1 s, and each index more doubles that
+MAX_MEASURE_WORK = 32  # log2 of 2^k * 2^max(depth, 16)
+
+
 @_verb("ncov measure", nullcover.union_measure,
        flags=(*PAYLOAD, _flag("--indices", type=int, nargs="*", default=[])))
 def _ncov_measure(args) -> int:
     cover = _cover_from_json(_load_payload(args))
+    ms = set(args.indices)
+    if all(0 <= m < len(cover.entries) for m in ms):  # else union_measure names it
+        depth = max((cover.entries[m][0] for m in ms), default=0)
+        ceiling = MAX_MEASURE_WORK - max(depth, 16)
+        if len(ms) > ceiling:
+            raise ValueError(f"{len(ms)} indices at depth {depth}: ncov measure "
+                             f"stops at {ceiling}")
     print(rational_str(nullcover.union_measure(cover, args.indices)))
     return 0
 
@@ -590,7 +604,7 @@ def _ncov_avoid(args) -> int:
     obj = _load_payload(args)
     tree = _block_tree(obj["r"], obj["d"], int(obj["depth"]))
     part = _partition_from_json(obj["partition"])
-    k_sets = [frozenset(ks) for ks in obj["K"]]
+    k_sets = [tuple(dict.fromkeys(ks)) for ks in obj["K"]]  # payload order
     points = [int(x) for x in obj["points"]]
     report = nullcover.avoidance_check(tree, part, k_sets, points)
     _emit_json(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .cantor import LevelSet, check_depth, lift_mask, node_bits, positions
 from .errors import SelectionExhausted
@@ -116,7 +116,7 @@ class IntervalPartition:
     each carrying a trap set of strings indexed by the interval."""
 
     intervals: tuple[tuple[int, int], ...]
-    traps: tuple[frozenset[str], ...]
+    traps: tuple[Collection[str], ...]
 
     def __post_init__(self) -> None:
         if len(self.intervals) != len(self.traps):

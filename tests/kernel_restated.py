@@ -1,7 +1,7 @@
 """Restatements of the `cantor` bit kernel from node bit strings, sharing no
 code with it: a mask's nodes are the strings of its set bits, a projection
 is the set of their prefixes, a node's mass is how many leaves carry its
-prefix."""
+prefix, and a lift is the set of a node's extensions."""
 
 
 def bits(i, width):
@@ -9,7 +9,8 @@ def bits(i, width):
 
 
 def leaves(mask, depth):
-    return [bits(i, depth) for i in range(1 << depth) if mask >> i & 1]
+    ones = bin(mask)[:1:-1]  # character i is bit i
+    return [bits(i, depth) for i, ch in enumerate(ones) if ch == "1"]
 
 
 def prefix_projection(leaf_strings, level):
@@ -24,3 +25,12 @@ def dense_by_counts(leaf_strings, depth, level):
     for leaf in leaf_strings:
         counts[leaf[:level]] = counts.get(leaf[:level], 0) + 1
     return all(2 * count >= 1 << (depth - level) for count in counts.values())
+
+
+def lift_by_strings(mask, level_from, level_to):
+    tails = [bits(t, level_to - level_from) for t in range(1 << level_to - level_from)]
+    out = 0
+    for node in leaves(mask, level_from):
+        for tail in tails:
+            out |= 1 << int(node + tail or "0", 2)
+    return out

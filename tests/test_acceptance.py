@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 
+from kernel_restated import lift_by_strings
 from support import (
     automorphism,
     chain_heights,
@@ -22,7 +23,7 @@ from support import (
 )
 
 from clopenforce import soft
-from clopenforce.cantor import ClopenSet, LevelSet, full_set, lift_mask, measure
+from clopenforce.cantor import ClopenSet, LevelSet, full_set, measure
 from clopenforce.coverlemmas import (
     halve_once,
     hit_weight,
@@ -406,8 +407,9 @@ def test_criterion_10_null_cover_suite():
             Fraction(1, 2**m) for m in range(1, len(cover.entries))
         )
 
-    # union measure: inclusion-exclusion == direct union, and a seeded
-    # Monte-Carlo estimate lands within three sigma (exact comparison)
+    # union measure: inclusion-exclusion == direct union (lifted from node
+    # strings, not by cantor.lift_mask), and a seeded Monte-Carlo estimate
+    # lands within three sigma (exact comparison)
     mc_runs = 0
     while mc_runs < 5:
         cover = _random_conforming_cover(rng)
@@ -416,7 +418,7 @@ def test_criterion_10_null_cover_suite():
         direct = 0
         for m in S:
             n, z = cover.entries[m]
-            direct |= lift_mask(z.mask, n, depth)
+            direct |= lift_by_strings(z.mask, n, depth)
         p = union_measure(cover, S)
         assert p == Fraction(direct.bit_count(), 1 << depth)
         if p in (0, 1):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from kernel_restated import bits, dense_by_counts, leaves, prefix_projection
+from kernel_restated import bits, dense_by_counts, leaves, lift_by_strings, prefix_projection
 from support import assert_value_errors
 
 from clopenforce import cantor
@@ -97,7 +97,7 @@ def test_table_readers_match_the_kernel():
 
 def _deep_cases(rng, depth):
     """Seeded depth-`depth` masks for the paths beyond the tables: a few
-    leaves (the node walk), many leaves (the walk, then one pass over the
+    leaves (the density walk), many leaves (the walk, then one pass over the
     bytes), and unions of cylinders with a few leaves dropped, so that some
     are dense at some levels."""
     size = 1 << depth
@@ -118,11 +118,27 @@ def _deep_cases(rng, depth):
         yield mask
 
 
+def _deeper_cases(rng, depth):
+    """Seeded masks at depths 13 to 20, few enough leaves for the string
+    restatements: sparse in the lowest and in the highest 256 leaves, and
+    dense (a random half) in one 2^12-leaf cylinder, so most of the bytes
+    the projection passes over are zero."""
+    size = 1 << depth
+    for base in (0, size - 256):
+        mask = 0
+        for _ in range(rng.randint(1, 20)):
+            mask |= 1 << base + rng.randrange(256)
+        yield mask
+    yield rng.getrandbits(1 << 12) << (rng.randrange(1 << depth - 12) << 12)
+
+
 def test_deep_kernel_matches_restatements():
+    # every level, the coarse ones that project through depth - 3 again too
     rng = random.Random(512)
-    for depth in range(5, 13):
+    for depth in range(5, 21):
         outcomes = set()
-        for mask in _deep_cases(rng, depth):
+        cases = _deep_cases(rng, depth) if depth <= 12 else _deeper_cases(rng, depth)
+        for mask in cases:
             spelled = leaves(mask, depth)
             for level in range(depth + 1):
                 want = prefix_projection(spelled, level)
@@ -163,16 +179,16 @@ def test_deep_kernel_is_linear_in_the_mask():
 
 
 def test_levelset_mask_level_out_of_range_raises():
-    for depth in (0, 2, 3, 4, 5):  # tables to depth 4, the node walk beyond
+    for depth in (0, 2, 3, 4, 5):  # tables to depth 4, the byte pass beyond
         for level in (-1, depth + 1):
             with pytest.raises(ValueError):
                 levelset_mask(1, depth, level)
 
 
 def test_levelset_mask_mask_out_of_range_raises():
-    for depth in range(7):  # tables to depth 4, the node walk beyond
+    for depth in range(7):  # tables to depth 4, the byte pass beyond
         bad = [1 << (1 << depth), 1 << 70]
-        if depth <= 4:  # a negative mask on the node walk: see the next test
+        if depth <= 4:  # a negative mask beyond the tables: see the next test
             bad += [-1, -(1 << 40)]
         for mask in bad:
             with pytest.raises(ValueError):
@@ -185,7 +201,7 @@ def test_dense_mask_out_of_range_raises():
             dense_mask(mask, depth, level)
     for depth in range(7):
         bad = [1 << (1 << depth), 1 << 70]
-        if depth <= 4:  # a negative mask on the node walk: see the next test
+        if depth <= 4:  # a negative mask on the density walk: see the next test
             bad += [-1, -(1 << 40)]
         for mask in bad:
             for level in {0, depth, depth + 1}:
@@ -196,8 +212,9 @@ def test_dense_mask_out_of_range_raises():
 
 
 def test_levelset_mask_negative_on_loop_path_raises_in_time():
-    # the node walk never ends on a negative mask unless it is rejected
-    # first; a child process lets a hang fail the test
+    # beyond the tables a negative mask never ends the density walk, and
+    # the byte pass cannot read it, unless it is rejected first; a child
+    # process lets a hang fail the test
     src = str(Path(cantor.__file__).parents[1])
     for call in ("levelset_mask(-1, 5, 1)", "dense_mask(-1, 5, 1)"):
         code = f"from clopenforce.cantor import *\n{call}\n"
@@ -268,6 +285,37 @@ def test_positions_is_linear_in_the_mask():
     assert time.perf_counter() - start < 1
 
 
+def test_lift_mask_matches_string_restatement():
+    # masks of at most 64 set bits take the OR loop; beyond, from level 7,
+    # the bytearray, with blocks inside a byte (a lift by up to 3 levels)
+    # and blocks of whole bytes
+    rng = random.Random(7)
+    for level_from in range(11):
+        size = 1 << level_from
+        masks = [0, 1 << size - 1, (1 << size) - 1, rng.getrandbits(size),
+                 1 << rng.randrange(size) | 1 << rng.randrange(size)]
+        for count in (64, 65):
+            if count < size:
+                masks.append(sum(1 << i for i in rng.sample(range(size), count)))
+        for level_to in range(level_from, level_from + 6):
+            for mask in masks:
+                assert lift_mask(mask, level_from, level_to) == lift_by_strings(
+                    mask, level_from, level_to), (mask, level_from, level_to)
+
+
+def test_lift_mask_is_linear_in_the_mask():
+    # each set bit once regrew the whole output: this lift took 215 s, and a
+    # full level-17 mask lifted to 24 (a `diag verify` payload) about a minute
+    mask = random.Random(21).getrandbits(1 << 21)
+    start = time.perf_counter()
+    lifted = lift_mask(mask, 21, 24)
+    assert lift_mask((1 << (1 << 17)) - 1, 17, 24) == (1 << (1 << 24)) - 1
+    assert time.perf_counter() - start < 3
+    # every level-24 leaf below a node of mask, and no other
+    assert levelset_mask(lifted, 24, 21) == mask
+    assert lifted.bit_count() == 8 * mask.bit_count()
+
+
 def test_cyl_mask_blocks():
     for depth in range(5):
         for level in range(depth + 1):
@@ -287,6 +335,9 @@ def test_kernel_inputs_fail_by_name():
         (lambda: cyl_mask(3, 1, 2), "node index out of range for level"),
         (lambda: cyl_mask(3, 1, -1), "node index out of range for level"),
         (lambda: lift_mask(1, 2, 1), "lift must refine"),
+        (lambda: lift_mask(-1, 0, 1), "mask out of range for depth"),  # never returned
+        (lambda: lift_mask(4, 1, 3), "mask out of range for depth"),
+        (lambda: lift_mask(1, 0, MAX_DEPTH + 1), "level out of range"),
         (lambda: LevelSet(1, 1 << 2), "mask out of range for level"),
         (lambda: LevelSet(1, -1), "mask out of range for level"),
         (lambda: parse_clopen("x=2:{00}"), "bad clopen literal: 'x=2:{00}'"),

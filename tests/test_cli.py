@@ -6,9 +6,10 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
-from clopenforce import cli, perfectposet
+from clopenforce import cli, nullcover, perfectposet
 from clopenforce.cli import VERB_TABLE, dispatch
 from clopenforce.errors import ConstructionError
 from clopenforce.perfectposet import MAX_TABLE_NODES
@@ -294,6 +295,66 @@ def test_ncov_sparse_and_measure(capsys):
     code, out = run(capsys, "ncov", "measure", "--json", json.dumps(cover),
                     "--indices", "1")
     assert code == 0 and out == "1/2\n"
+
+
+def measure_args(count: int, depth: int) -> list[str]:
+    """`ncov measure` flags for the last `count` entries of a cover with
+    one entry per level 0..depth, each the all-zero node of its level."""
+    cover = [{"n": n, "Z": ["0" * n] if n else []} for n in range(depth + 1)]
+    return ["--indices", *map(str, range(depth + 1 - count, depth + 1)),
+            "--json", json.dumps(cover)]
+
+
+def test_ncov_measure_stops_at_its_ceiling(capsys, monkeypatch):
+    # 2^k terms of up to k ANDs of 2^depth-bit masks: 12 indices at depth
+    # 20 are answered, more are refused before any term is formed
+    assert run(capsys, "ncov", "measure", *measure_args(12, 20)) == (0, "1/512\n")
+    # off-cover indices keep union_measure's message, whatever their count
+    argv = ("ncov", "measure", "--indices", *map(str, range(22)),
+            *measure_args(20, 20)[-2:])  # entries 0..20
+    assert run(capsys, *argv) == (2, "usage-error: index set off the cover\n")
+
+    def refuse(*args):
+        raise AssertionError("union_measure ran past the ceiling")
+
+    monkeypatch.setattr(nullcover, "union_measure", refuse)
+    for count, depth, ceiling in ((13, 20, 12), (17, 16, 16), (9, 24, 8)):
+        assert run(capsys, "ncov", "measure", *measure_args(count, depth)) == (
+            2, f"usage-error: {count} indices at depth {depth}: ncov measure "
+               f"stops at {ceiling}\n")
+    # 20 indices at depth 24 would run for hours
+    start = time.perf_counter()
+    proc = python_m(["ncov", "measure", *measure_args(20, 24)])
+    assert proc.returncode == 2 and time.perf_counter() - start < 10, proc.stderr
+
+
+def test_trap_errors_do_not_depend_on_the_hash_seed():
+    # trap and K sets keep payload order, so the first bad string of the
+    # payload is named, under every hash seed
+    bad = ["0", "1", "00", "11"]
+    avoid = json.dumps(dict(AVOID, K=[bad]))
+    sparse = json.dumps([{"intervals": [[0, 4]], "J": [bad]}])
+    for argv in (["ncov", "avoid", "--json", avoid],
+                 ["ncov", "sparse", "--points", "0", "--json", sparse]):
+        for seed in range(1, 7):
+            proc = python_m(argv, PYTHONHASHSEED=str(seed))
+            assert (proc.returncode, proc.stdout) == (
+                2, b"usage-error: trap '0' does not index [0, 4)\n"), (argv, seed)
+
+
+def test_diag_verify_lifts_a_full_deep_piece_in_time():
+    # a full level-17 piece lifted to depth 24 once regrew the mask per leaf
+    # and took about a minute
+    piece = {"sigma": [], "tau": []}
+    chain = {"order": 1, "entries": [
+        dict(piece, i=0, p={"depth": 17, "nodes": [""]}, q={"depth": 17, "nodes": [""]}),
+        dict(piece, i=1, p={"depth": 24, "nodes": ["1"]}, q={"depth": 24, "nodes": ["1"]})]}
+    start = time.perf_counter()
+    proc = python_m(["diag", "verify", "--v", "1", "--json", json.dumps(chain)])
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (1, b'{"entries":2,"families":1,"ok":false,'
+        b'"violations":["sigma=[] tau=[] i=1: overlaps an earlier piece",'
+        b'"sigma=[] tau=[]: mass 5/4 not below 1"]}\n'), proc.stderr
 
 
 def test_ncov_avoid(capsys):
