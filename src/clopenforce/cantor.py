@@ -288,29 +288,15 @@ def dense_mask(mask: int, depth: int, level: int) -> bool:
 def lift_mask(mask: int, level_from: int, level_to: int) -> int:
     """Expand a level set mask to all its descendants at a finer level.
 
-    Each set bit's block is OR-ed in while mask has at most _WALK_BITS set
-    bits, as `positions` splits; beyond, it goes into one bytearray."""
+    In one pass: each binary digit of mask, written 2^(level_to - level_from)
+    times, is its node's block of descendants."""
     if level_to < level_from:
         raise ValueError("lift must refine")
-    if level_to > MAX_DEPTH:
+    if level_from < 0 or level_to > MAX_DEPTH:
         raise ValueError("level out of range")
     _check_mask(mask, level_from)
     width = 1 << (level_to - level_from)
-    block = (1 << width) - 1
-    if mask.bit_count() <= _WALK_BITS:
-        out = 0
-        for j in positions(mask):
-            out |= block << (j * width)
-        return out
-    buf = bytearray(mask.bit_length() * width + 7 >> 3)
-    if width <= 8:  # a block within one byte
-        for j in positions(mask):
-            buf[j * width >> 3] |= block << (j * width & 7)
-    else:
-        ones = b"\xff" * (width >> 3)
-        for j in positions(mask):
-            buf[j * len(ones):(j + 1) * len(ones)] = ones
-    return int.from_bytes(buf, "little")
+    return int(format(mask, "b").translate({48: "0" * width, 49: "1" * width}), 2)
 
 
 @dataclass(frozen=True)

@@ -548,13 +548,11 @@ MAX_MEASURE_WORK = 32  # log2 of 2^k * 2^max(depth, 16)
        flags=(*PAYLOAD, _flag("--indices", type=int, nargs="*", default=[])))
 def _ncov_measure(args) -> int:
     cover = _cover_from_json(_load_payload(args))
-    ms = set(args.indices)
-    if all(0 <= m < len(cover.entries) for m in ms):  # else union_measure names it
-        depth = max((cover.entries[m][0] for m in ms), default=0)
-        ceiling = MAX_MEASURE_WORK - max(depth, 16)
-        if len(ms) > ceiling:
-            raise ValueError(f"{len(ms)} indices at depth {depth}: ncov measure "
-                             f"stops at {ceiling}")
+    ms, depth = nullcover.union_scope(cover, args.indices)
+    ceiling = MAX_MEASURE_WORK - max(depth, 16)
+    if len(ms) > ceiling:
+        raise ValueError(f"{len(ms)} indices at depth {depth}: ncov measure "
+                         f"stops at {ceiling}")
     print(rational_str(nullcover.union_measure(cover, args.indices)))
     return 0
 

@@ -31,6 +31,7 @@ __all__ = [
     "kn_set",
     "select_sparse",
     "union_measure",
+    "union_scope",
 ]
 
 
@@ -75,17 +76,24 @@ def budget(cover: LevelCover) -> BudgetReport:
     return BudgetReport(total, tuple(ok))
 
 
+def union_scope(cover: LevelCover, S: Iterable[int]) -> tuple[list[int], int]:
+    """The distinct indices of S, ascending, and the level union_measure
+    works at: the deepest of their entries (0 for none).  An index off the
+    cover is a ValueError."""
+    ms = sorted(set(S))
+    if any(not 0 <= m < len(cover.entries) for m in ms):
+        raise ValueError("index set off the cover")
+    return ms, max((cover.entries[m][0] for m in ms), default=0)
+
+
 def union_measure(cover: LevelCover, S: Iterable[int]) -> Fraction:
     """Measure of "hit Z_m for some m in S", by inclusion-exclusion over
     the lifted cylinder sets at the deepest participating level."""
-    ms = sorted(set(S))
+    ms, depth = union_scope(cover, S)
     if not ms:
         return Fraction(0)
-    if any(not 0 <= m < len(cover.entries) for m in ms):
-        raise ValueError("index set off the cover")
     if len(ms) > 20:
         raise ValueError("inclusion-exclusion restricted to <= 20 indices")
-    depth = max(cover.entries[m][0] for m in ms)
     lifted = [
         lift_mask(cover.entries[m][1].mask, cover.entries[m][0], depth) for m in ms
     ]

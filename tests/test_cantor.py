@@ -286,9 +286,8 @@ def test_positions_is_linear_in_the_mask():
 
 
 def test_lift_mask_matches_string_restatement():
-    # masks of at most 64 set bits take the OR loop; beyond, from level 7,
-    # the bytearray, with blocks inside a byte (a lift by up to 3 levels)
-    # and blocks of whole bytes
+    # lifts by 0 to 5 levels of empty, full, random, sparse masks and masks
+    # of 64 and 65 set bits
     rng = random.Random(7)
     for level_from in range(11):
         size = 1 << level_from
@@ -338,6 +337,7 @@ def test_kernel_inputs_fail_by_name():
         (lambda: lift_mask(-1, 0, 1), "mask out of range for depth"),  # never returned
         (lambda: lift_mask(4, 1, 3), "mask out of range for depth"),
         (lambda: lift_mask(1, 0, MAX_DEPTH + 1), "level out of range"),
+        (lambda: lift_mask(0, -1, 0), "level out of range"),
         (lambda: LevelSet(1, 1 << 2), "mask out of range for level"),
         (lambda: LevelSet(1, -1), "mask out of range for level"),
         (lambda: parse_clopen("x=2:{00}"), "bad clopen literal: 'x=2:{00}'"),

@@ -28,6 +28,7 @@ from clopenforce.nullcover import (
     kn_set,
     select_sparse,
     union_measure,
+    union_scope,
 )
 
 
@@ -63,6 +64,12 @@ def test_union_measure_basics():
     assert union_measure(cover, []) == 0
     assert union_measure(cover, [1]) == Fraction(2, 4)
     assert union_measure(cover, [0, 1]) == Fraction(2, 4)  # index 0 is empty
+    # distinct indices ascending, at the deepest of their levels
+    assert union_scope(cover, [2, 0, 2]) == ([0, 2], 4)
+    assert union_scope(cover, []) == ([], 0)
+    for bad in ([3], [-1, 1]):
+        with pytest.raises(ValueError, match="index set off the cover"):
+            union_measure(cover, bad)
 
 
 def test_union_measure_absorption():
