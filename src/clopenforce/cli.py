@@ -51,9 +51,12 @@ def _emit_json(obj) -> None:
 
 
 def _poset_from_json(obj: dict) -> tuple[soft.FinitePoset, dict]:
-    poset = soft.FinitePoset(
-        obj["elements"], [tuple(p) for p in obj["leq"]], obj["top"]
-    )
+    elements, top = list(obj["elements"]), obj["top"]
+    # the height map is a JSON object, whose keys can only name strings
+    for e in (*elements, top):
+        if not isinstance(e, str):
+            raise ValueError(f"element {json.dumps(e)} is not a JSON string")
+    poset = soft.FinitePoset(elements, [tuple(p) for p in obj["leq"]], top)
     return poset, _int_map(obj, "height")
 
 

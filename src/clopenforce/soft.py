@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import le, or_
 from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
 from .cantor import ClopenSet, measure, positions
@@ -129,19 +129,31 @@ class FinitePoset:
 
 
 def _heights(P, h: HeightFn) -> list[int]:
-    """h as a list over element positions, defined and nonnegative."""
-    hs = [h.get(e) for e in P.elements]
+    """h as a list over element positions, defined and nonnegative.
+
+    The element index is copied and h merged into the copy: both steps
+    reuse the hashes the two dicts store, so a dict h is read without
+    hashing an element.  Keys of h that are not elements land past the
+    elements' positions and are cut off.
+    """
+    merged = dict.fromkeys(P.index)
+    merged.update(h)
+    hs = list(merged.values())[: len(P.elements)]
     if None in hs:
         missing = [e for e, v in zip(P.elements, hs) if v is None]
         raise ValueError(f"height function undefined on {missing[:3]!r}...")
-    if any(v < 0 for v in hs):
+    if min(hs) < 0:
         raise ValueError("heights must be nonnegative")
     return hs
 
 
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _at_most(hs: list[int], m: int) -> int:
-    """Bitmask of the positions of height <= m."""
-    return sum(1 << i for i, v in enumerate(hs) if v <= m)
+    """Bitmask of the positions of height <= m: one comparison per
+    position, read as a binary numeral from the last position down."""
+    return int(bytes(map(le, reversed(hs), itertools.repeat(m))).translate(_BITS), 2)
 
 
 def _indices(P, items: Iterable[Element]) -> list[int]:
@@ -332,10 +344,8 @@ def product_poset(
     of q's spread row with p's row (the blocks do not overlap, so nothing
     carries).  The rows then pass the same validation as any `FinitePoset`.
     """
-    _heights(Pq, gq)
-    _heights(Pq, supp_q)
-    _heights(Pp, hp)
-    if supp_q[Pq.top] != 0:
+    gs, ss, hs = _heights(Pq, gq), _heights(Pq, supp_q), _heights(Pp, hp)
+    if ss[Pq.index[Pq.top]] != 0:
         raise ValueError("support of the top element must be 0")
     if not check_height(Pq, supp_q):
         raise ValueError("support size must be order-reversing")
@@ -347,11 +357,13 @@ def product_poset(
         spread = sum(1 << k * width for k in positions(Pq.down_row(i)))
         down.extend(spread * row for row in rows_p)
     poset = FinitePoset._from_rows(elements, (Pq.top, Pp.top), down)
-    heights = {
-        (q, p): product_height_step(gq[q], supp_q[q], hp[p], p == Pp.top)
-        for q, p in elements
-    }
-    return poset, heights
+    top = Pp.index[Pp.top]
+    steps = [
+        product_height_step(g, s, v, j == top)
+        for g, s in zip(gs, ss)
+        for j, v in enumerate(hs)
+    ]
+    return poset, dict(zip(elements, steps))
 
 
 def product_cover(

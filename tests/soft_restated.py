@@ -4,11 +4,32 @@ Every clause is asked one element pair at a time through `P.leq` and
 `P.compatible` only, straight from the definitions; nothing here is shared
 with `clopenforce.soft`, which answers the same questions with bitmask rows.
 Error messages are restated too, so a differential test also pins them.
+
+`heights` and `at_most` are the soft layer's former helpers, one `h.get`
+(so one element hash) per element and one comparison per position; the
+library reads the height map through the dicts' stored hashes instead, and
+must give the same list, mask and message.
 """
 
 from __future__ import annotations
 
 import itertools
+
+
+def heights(P, h) -> list:
+    """h as a list over element positions, defined and nonnegative."""
+    hs = [h.get(e) for e in P.elements]
+    if None in hs:
+        missing = [e for e, v in zip(P.elements, hs) if v is None]
+        raise ValueError(f"height function undefined on {missing[:3]!r}...")
+    if any(v < 0 for v in hs):
+        raise ValueError("heights must be nonnegative")
+    return hs
+
+
+def at_most(hs, m) -> int:
+    """Bitmask of the positions of height <= m."""
+    return sum(1 << i for i, v in enumerate(hs) if v <= m)
 
 
 def heights_ok(P, h) -> None:

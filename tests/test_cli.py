@@ -218,6 +218,15 @@ def test_usage_errors(capsys):
         assert code == 2 and out.startswith("usage-error:"), argv
     code, out = run(capsys, "pforce", "cover", "-b", B, "-b", B, "--against", TOP, "--k", "2")
     assert (code, out) == (2, "usage-error: --against only pairs with a single -b condition\n")
+    # a height map is a JSON object, so its keys name only string elements;
+    # the first element (or top) of another JSON type is named
+    for elements, top, named in (([1, 2, "top"], "top", "1"), ([["a"], "top"], "top", '["a"]'),
+                                 (["a", None, "top"], "top", "null"), (["a", "top"], 0, "0")):
+        poset = {"elements": elements, "leq": [], "top": top,
+                 "height": {"1": 0, "2": 0, "a": 0, "top": 0}}
+        argv = ("soft", "star", "--json", json.dumps(poset), "--antichain", "1", "2", "--m", "0")
+        assert run(capsys, *argv) == (
+            2, f"usage-error: element {named} is not a JSON string\n"), elements
 
 
 def test_poset_errors_do_not_depend_on_the_hash_seed():

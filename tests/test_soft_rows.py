@@ -1,7 +1,9 @@
 """The soft layer's bitmask rows against the order they stand for, and its
 checks against the element-wise restatement in `soft_restated`."""
 
+import copy
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -123,6 +125,76 @@ def test_product_rows_match_coordinatewise_order():
     with pytest.raises(ValueError, match="^support size must be order-reversing$"):
         soft.product_poset(Q, {"a": 1, "b": 1, "top": 0}, {"a": 0, "b": 1, "top": 0},
                            P, hp)
+
+
+def height_maps(P, h):
+    """h, and the variants the height reader must read as `h.get` did: keys
+    in reversed order, an extra key, an explicit None, missing elements and
+    a negative height."""
+    els = P.elements
+    yield h
+    yield dict(reversed(h.items()))
+    yield {("extra",): -1, **h}
+    yield {**h, els[len(els) // 2]: None}
+    yield {e: h[e] for e in els[1::2]}  # no element at an even position
+    yield {e: v for e, v in h.items() if e != els[-1]}
+    yield {**h, els[-1]: -1}
+
+
+def assert_heights_match_former_bodies(P, h):
+    for variant in height_maps(P, h):
+        got = outcome(soft._heights, P, variant)
+        assert got == outcome(ref.heights, P, variant)
+        if got[0] == "ok":
+            hs = got[1]
+            for m in [*range(-1, int(max(hs)) + 2), *set(hs)]:
+                assert soft._at_most(hs, m) == ref.at_most(hs, m), m
+
+
+@pytest.mark.parametrize("name", ["desk2", "desk3"])
+def test_heights_match_former_bodies_on_desk(name, request):
+    desk = request.getfixturevalue(name)
+    h = desk.heights()
+    assert_heights_match_former_bodies(desk, h)
+    # keys rebuilt as equal conditions, none of them the element itself
+    rebuilt = {copy.deepcopy(e): v for e, v in h.items()}
+    assert not any(a is b for a, b in zip(rebuilt, desk.elements))
+    assert_heights_match_former_bodies(desk, rebuilt)
+
+
+def test_heights_match_former_bodies_on_random_posets():
+    rng = random.Random(61)
+    for _ in range(40):
+        P = random_poset(rng, 7)
+        h = {e: Fraction(rng.randint(0, 12), rng.randint(1, 4)) for e in P.elements}
+        assert_heights_match_former_bodies(P, h)
+
+
+class Counted:
+    """An element that counts the hashes taken of it."""
+
+    hashes = 0
+
+    def __init__(self, name):
+        self.name = name
+
+    def __hash__(self):
+        Counted.hashes += 1
+        return hash(self.name)
+
+    def __eq__(self, other):
+        return isinstance(other, Counted) and self.name == other.name
+
+
+def test_heights_hash_no_element():
+    elements = [Counted(name) for name in ("a", "b", "c", "top")]
+    P = soft.FinitePoset(elements, [(elements[0], elements[1])], elements[-1])
+    h = {e: 0 for e in elements}
+    Counted.hashes = 0
+    assert soft._heights(P, h) == [0, 0, 0, 0]
+    assert Counted.hashes == 0
+    # one `h.get`, so one hash, per element is what the former body took
+    assert ref.heights(P, h) == [0, 0, 0, 0] and Counted.hashes == len(elements)
 
 
 def corrupt(rng, P, h):
