@@ -11,9 +11,10 @@ forms are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import groupby
 from operator import or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cantor import (
     TABLE_DEPTH,
@@ -51,6 +52,16 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class PCondition:
+    """A condition (B, n): a positive-measure clopen set and a commitment
+    level 0 <= n <= B.depth.
+
+    The conditions this module hands out at depth <= 3 (`main_cover` and so
+    `iterate_cover`, `enumerate_pprime` and so `DeskPoset`, `top_condition`,
+    `cover_oracle`'s uncovered) are shared immutable instances, one per
+    (depth, n, mask); beyond depth 3 each is built per call.  Only `is` can
+    tell: equality, hash, repr and pickling are those of the fields.
+    """
+
     B: ClopenSet
     n: int
 
@@ -69,8 +80,29 @@ class PCondition:
         return f"({self.B}, n={self.n})"
 
 
+_SHARED_DEPTH = 3
+"""Deepest depth whose conditions are shared instances: at most
+(d + 1)(2^(2^d) - 1) per depth d, 1,072 over depths 0..3."""
+
+
+@cache
+def _shared(depth: int, n: int, mask: int) -> PCondition:
+    # validated on its first build; a call that raises stores nothing
+    return PCondition(ClopenSet(depth, mask), n)
+
+
+def _conditions(depth: int, keys: Iterable[tuple[int, int]]) -> list[PCondition]:
+    """The conditions (ClopenSet(depth, mask), n) for the (n, mask) keys, in
+    order: shared instances at depth <= _SHARED_DEPTH, fresh ones beyond.
+    The path is picked once per call, so a deep member costs no extra call."""
+    if depth <= _SHARED_DEPTH:
+        return [_shared(depth, n, mask) for n, mask in keys]
+    return [PCondition(ClopenSet(depth, mask), n) for n, mask in keys]
+
+
 def top_condition(depth: int) -> PCondition:
-    return PCondition(full_set(depth), 0)
+    top = full_set(depth)
+    return _shared(depth, 0, top.mask) if depth <= _SHARED_DEPTH else PCondition(top, 0)
 
 
 def in_pprime(c: PCondition) -> bool:
@@ -241,7 +273,7 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
                     cand = (u & ~cyl) | (cmask & cyl & ~bmask)
                     if dense[cand]:
                         found.add((ell, cand))
-    return [PCondition(ClopenSet(depth, mask), ell) for ell, mask in sorted(found)]
+    return _conditions(depth, sorted(found))
 
 
 def iterate_cover(ps: Sequence[PCondition], k: int) -> list[PCondition]:
@@ -390,7 +422,7 @@ def cover_oracle(
             for ell in range(m, kk + 1)
         ]
 
-    uncovered: list[PCondition] = []
+    uncovered: list[tuple[int, int]] = []  # (ell, e)
     checked = 0
     e, x = cmask, (1 << cmask.bit_count()) - 1
     while e:
@@ -411,23 +443,29 @@ def cover_oracle(
                             break
                     scanned += 1
                 if not covered:
-                    uncovered.append(PCondition(ClopenSet(depth, e), ell))
+                    uncovered.append((ell, e))
         e, x = (e - 1) & cmask, x - 1
-    return OracleReport(tuple(bad_members), tuple(uncovered), checked)
+    return OracleReport(tuple(bad_members), tuple(_conditions(depth, uncovered)), checked)
 
 
 def enumerate_pprime(depth: int, max_n: int | None = None) -> tuple[PCondition, ...]:
-    """All dense-part conditions at this depth with commitment <= max_n."""
+    """All dense-part conditions at this depth with commitment <= max_n, by
+    level and then by mask.  The depth lies in 0..TABLE_DEPTH: it lists
+    every mask."""
+    if not 0 <= depth <= TABLE_DEPTH:
+        raise ValueError(f"depth {depth} outside 0..{TABLE_DEPTH}")
     if max_n is None:
         max_n = depth
-    sets = [ClopenSet(depth, mask) for mask in range(1, 1 << (1 << depth))]
+    elif not 0 <= max_n <= depth:
+        raise ValueError(f"max_n {max_n} outside 0..{depth}")
+    masks = range(1, 1 << (1 << depth))
     D = densities(depth)
-    return tuple(
-        PCondition(B, n)
-        for n in range(max_n + 1)
-        for B in sets
-        if D[n][B.mask]
-    )
+    if depth <= _SHARED_DEPTH:
+        return tuple(_shared(depth, n, mask) for n in range(max_n + 1) for mask in masks
+                     if D[n][mask])
+    # one set per mask, shared by the mask's levels
+    sets = [ClopenSet(depth, mask) for mask in masks]
+    return tuple(PCondition(B, n) for n in range(max_n + 1) for B in sets if D[n][B.mask])
 
 
 class DeskPoset(FinitePoset):

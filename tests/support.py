@@ -24,17 +24,27 @@ import nullcover_restated
 # ------------------------------------------------------- tree automorphisms
 
 
-@functools.cache
-def canon(depth: int, first: int, second: int) -> tuple[int, int]:
-    """The least (first, second) image under simultaneous tree automorphisms:
-    each half's least image, the smaller on top, as a mask compares by its
-    high half first (the tree-isomorphism codes of Aho, Hopcroft and Ullman)."""
-    if depth == 0:
-        return first, second
-    half = 1 << depth - 1
-    (f1, f0), (s1, s0) = divmod(first, 1 << half), divmod(second, 1 << half)
-    high, low = sorted((canon(depth - 1, f0, s0), canon(depth - 1, f1, s1)))
-    return low[0] | high[0] << half, low[1] | high[1] << half
+def canon_sweep():
+    """A canonical form for pairs of masks, with a cache of its own: take one
+    per sweep, and the cache goes when the sweep drops it (the depth-3 pair
+    sweep fills 65,301 entries, which a module-wide cache would keep for the
+    whole session).
+
+    canon(depth, first, second) is the least (first, second) image under
+    simultaneous tree automorphisms: each half's least image, the smaller on
+    top, as a mask compares by its high half first (the tree-isomorphism
+    codes of Aho, Hopcroft and Ullman)."""
+
+    @functools.cache
+    def canon(depth: int, first: int, second: int) -> tuple[int, int]:
+        if depth == 0:
+            return first, second
+        half = 1 << depth - 1
+        (f1, f0), (s1, s0) = divmod(first, 1 << half), divmod(second, 1 << half)
+        high, low = sorted((canon(depth - 1, f0, s0), canon(depth - 1, f1, s1)))
+        return low[0] | high[0] << half, low[1] | high[1] << half
+
+    return canon
 
 
 def automorphism(mask: int, depth: int, g: int) -> int:
@@ -55,6 +65,7 @@ def pair_orbits(conds: list[PCondition]) -> dict[tuple, tuple]:
     """Each orbit of ordered pairs of conds (levels are fixed by every
     automorphism), keyed by its canonical form, to its first (b, c)."""
     reps: dict[tuple, tuple] = {}
+    canon = canon_sweep()
     for b in conds:
         for c in conds:
             key = (b.n, c.n, *canon(b.B.depth, b.B.mask, c.B.mask))

@@ -32,6 +32,7 @@ VALUES = {
     "cantor.LevelSet",
     "perfectposet.OracleReport",
     "perfectposet.PCondition",
+    "perfectposet._conditions",  # builds PConditions from (n, mask) keys
 }
 TRUSTED = BIT_KERNEL | VALUES  # allowed to every oracle; not walked into
 

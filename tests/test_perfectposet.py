@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import operator
 import os
 import pickle
 import random
@@ -17,7 +18,7 @@ from kernel_restated import dense_by_counts, leaves, prefix_projection
 from support import (
     assert_value_errors,
     automorphism,
-    canon,
+    canon_sweep,
     pair_orbits,
     random_pprime_condition,
 )
@@ -25,6 +26,7 @@ from support import (
 from clopenforce import perfectposet
 from clopenforce.cantor import (
     MAX_DEPTH,
+    TABLE_DEPTH,
     ClopenSet,
     canonicalize,
     cyl_mask,
@@ -335,6 +337,28 @@ def test_enumerate_pprime_matches_node_counts():
     assert digest.hexdigest() == ENUMERATE_D4_DIGEST
 
 
+def test_enumerate_pprime_checks_max_n():
+    assert_value_errors([
+        (lambda: enumerate_pprime(3, 4), "max_n 4 outside 0..3"),
+        (lambda: enumerate_pprime(3, 5), "max_n 5 outside 0..3"),
+        (lambda: enumerate_pprime(3, -1), "max_n -1 outside 0..3"),
+        (lambda: enumerate_pprime(0, 1), "max_n 1 outside 0..0"),
+    ])
+    assert enumerate_pprime(3, 3) == enumerate_pprime(3) and len(enumerate_pprime(0, 0)) == 1
+
+
+def test_enumerate_pprime_and_desk_poset_check_depth():
+    # beyond the byte tables enumerate_pprime would list 2^(2^depth) - 1
+    # masks: all 2^32 - 1 at depth 5.  Checked before anything is built.
+    assert_value_errors([
+        (lambda: enumerate_pprime(-1), f"depth -1 outside 0..{TABLE_DEPTH}"),
+        (lambda: enumerate_pprime(TABLE_DEPTH + 1), f"depth 5 outside 0..{TABLE_DEPTH}"),
+        (lambda: enumerate_pprime(MAX_DEPTH, 0), f"depth {MAX_DEPTH} outside 0..{TABLE_DEPTH}"),
+        (lambda: DeskPoset(-1), f"depth -1 outside 0..{TABLE_DEPTH}"),
+        (lambda: DeskPoset(TABLE_DEPTH + 1), f"depth 5 outside 0..{TABLE_DEPTH}"),
+    ])
+
+
 # sha256 of main_cover's output over every depth-3 pair orbit of dense
 # conditions (all commitment levels) and every height k in c.n..3, frozen
 # before its two height branches were folded into one pass, so the fold is
@@ -363,6 +387,7 @@ def test_swap_bits_give_the_128_tree_automorphisms_at_depth3():
 def test_canon_is_the_least_image_and_an_orbit_invariant():
     rng = random.Random(1100)
     for depth in (3, 4):
+        canon = canon_sweep()
         for _ in range(300):
             pair = rng.getrandbits(1 << depth), rng.getrandbits(1 << depth)
             key = canon(depth, *pair)
@@ -377,6 +402,7 @@ def test_canon_is_the_least_image_and_an_orbit_invariant():
 def test_condition_orbit_counts():
     # automorphisms fix levels: an orbit is a level and a mask's canonical form
     for depth, count in ((3, 67), (4, 586)):
+        canon = canon_sweep()
         orbits = {(q.n, *canon(depth, q.B.mask, 0)) for q in enumerate_pprime(depth, 3)}
         assert len(orbits) == count
 
@@ -388,6 +414,9 @@ def test_main_cover_output_pinned_over_depth3_orbits():
             cover = [(q.n, q.B.mask) for q in main_cover(b, c, k)]
             digest.update(repr(cover).encode())
     assert digest.hexdigest() == MAIN_COVER_D3_DIGEST
+    # one shared instance per condition at depth <= 3: (d + 1)(2^(2^d) - 1)
+    # per depth d, 1,072 over depths 0..3
+    assert perfectposet._shared.cache_info().currsize <= 1_072
 
 
 # sha256 of main_cover's output over 150 seeded pairs of depth-4 dense
@@ -623,6 +652,79 @@ def test_desk_poset_agrees_with_module_predicates():
     assert not desk.leq(outsider, desk.top)
     with pytest.raises(KeyError):
         desk.compatible(outsider, desk.top)
+
+
+def test_depth3_conditions_are_built_once(monkeypatch):
+    b3, c3 = cond(["000", "011", "101", "110"], 3, 3), top_condition(3)
+    b4, c4 = cond(["00", "011", "101", "110"], 4, 2), cond(["00", "01", "10", "1100"], 4, 1)
+    first = main_cover(b3, c3, 3)
+    builds = Counter()  # conditions constructed, by depth
+    check = PCondition.__post_init__
+
+    def counted(self):
+        builds[self.B.depth] += 1
+        check(self)
+
+    monkeypatch.setattr(PCondition, "__post_init__", counted)
+    again = main_cover(b3, c3, 3)
+    assert builds.total() == 0
+    assert len(again) > 100 and all(map(operator.is_, again, first))
+    # beyond depth 3 every call builds its members afresh
+    for _ in range(2):
+        builds.clear()
+        members = main_cover(b4, c4, 4)
+        assert builds == {4: len(members)} and len(members) > 100
+
+
+def test_shared_conditions_stay_bounded():
+    cached = perfectposet._shared.cache_info
+    top3 = top_condition(3)
+    enumerate_pprime(3)
+    size = cached().currsize
+    assert 816 <= size <= 1_072  # the 816 dense ones at depth 3 among them
+    b4, c4 = cond(["00", "011", "101", "110"], 4, 2), cond(["00", "01", "10", "1100"], 4, 1)
+    assert main_cover(b4, c4, 4)
+    enumerate_pprime(4, 1)
+    b5, c5 = cond(["1"], 5, 1), cond(["00"], 5, 1)
+    assert len(cover_oracle(b5, c5, 5, []).uncovered) > 500
+    assert cached().currsize == size
+    # an invalid key raises and stores nothing
+    for n, mask in ((4, 1), (0, 0), (0, 1 << 8)):
+        with pytest.raises(ValueError):
+            perfectposet._shared(3, n, mask)
+    assert cached().currsize == size and top_condition(3) is top3
+
+
+def test_desk_poset_and_covers_share_their_conditions():
+    desk = DeskPoset(3)
+    by_key = {(e.n, e.B.mask): e for e in desk.elements}
+    top = top_condition(3)
+    assert desk.top is top is by_key[0, top.B.mask]
+    ps = [cond(["0"], 3, 1), cond(["00", "01", "10"], 3, 1)]
+    family = iterate_cover(ps, 3)
+    uncovered = cover_oracle(ps[0], top, 3, []).uncovered
+    assert family and uncovered
+    for q in (*family, *uncovered):
+        assert q is by_key[q.n, q.B.mask]
+
+
+def test_cli_import_builds_no_condition():
+    # cold CLI start-up fills no cache and constructs no condition
+    code = (
+        "from clopenforce import perfectposet as pp\n"
+        "built = []\n"
+        "check = pp.PCondition.__post_init__\n"
+        "pp.PCondition.__post_init__ = lambda self: (built.append(self), check(self))\n"
+        "import clopenforce.cli\n"
+        "print(len(built), pp._shared.cache_info().currsize)\n"
+    )
+    src = str(Path(perfectposet.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0"]
 
 
 def test_condition_wire_formats():
