@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import groupby
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cantor import (
     TABLE_DEPTH,
@@ -55,10 +55,10 @@ class PCondition:
     """A condition (B, n): a positive-measure clopen set and a commitment
     level 0 <= n <= B.depth.
 
-    The conditions this module hands out at depth <= 3 (`main_cover` and so
-    `iterate_cover`, `enumerate_pprime` and so `DeskPoset`, `top_condition`,
-    `cover_oracle`'s uncovered) are shared immutable instances, one per
-    (depth, n, mask); beyond depth 3 each is built per call.  Only `is` can
+    The conditions `main_cover` (and so `iterate_cover`) and
+    `enumerate_pprime` (and so `DeskPoset`'s elements) hand out at depth <= 3
+    are shared immutable instances, one per (depth, n, mask); beyond depth 3
+    each is built per call.  Only `is` can
     tell: equality, hash, repr and pickling are those of the fields.
     """
 
@@ -91,18 +91,8 @@ def _shared(depth: int, n: int, mask: int) -> PCondition:
     return PCondition(ClopenSet(depth, mask), n)
 
 
-def _conditions(depth: int, keys: Iterable[tuple[int, int]]) -> list[PCondition]:
-    """The conditions (ClopenSet(depth, mask), n) for the (n, mask) keys, in
-    order: shared instances at depth <= _SHARED_DEPTH, fresh ones beyond.
-    The path is picked once per call, so a deep member costs no extra call."""
-    if depth <= _SHARED_DEPTH:
-        return [_shared(depth, n, mask) for n, mask in keys]
-    return [PCondition(ClopenSet(depth, mask), n) for n, mask in keys]
-
-
 def top_condition(depth: int) -> PCondition:
-    top = full_set(depth)
-    return _shared(depth, 0, top.mask) if depth <= _SHARED_DEPTH else PCondition(top, 0)
+    return PCondition(full_set(depth), 0)
 
 
 def in_pprime(c: PCondition) -> bool:
@@ -273,7 +263,10 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
                     cand = (u & ~cyl) | (cmask & cyl & ~bmask)
                     if dense[cand]:
                         found.add((ell, cand))
-    return _conditions(depth, sorted(found))
+    # the path is picked once per call, so a deep member costs no extra call
+    if depth <= _SHARED_DEPTH:
+        return [_shared(depth, ell, mask) for ell, mask in sorted(found)]
+    return [PCondition(ClopenSet(depth, mask), ell) for ell, mask in sorted(found)]
 
 
 def iterate_cover(ps: Sequence[PCondition], k: int) -> list[PCondition]:
@@ -422,7 +415,7 @@ def cover_oracle(
             for ell in range(m, kk + 1)
         ]
 
-    uncovered: list[tuple[int, int]] = []  # (ell, e)
+    uncovered: list[PCondition] = []
     checked = 0
     e, x = cmask, (1 << cmask.bit_count()) - 1
     while e:
@@ -443,9 +436,9 @@ def cover_oracle(
                             break
                     scanned += 1
                 if not covered:
-                    uncovered.append((ell, e))
+                    uncovered.append(PCondition(ClopenSet(depth, e), ell))
         e, x = (e - 1) & cmask, x - 1
-    return OracleReport(tuple(bad_members), tuple(_conditions(depth, uncovered)), checked)
+    return OracleReport(tuple(bad_members), tuple(uncovered), checked)
 
 
 def enumerate_pprime(depth: int, max_n: int | None = None) -> tuple[PCondition, ...]:

@@ -32,7 +32,6 @@ VALUES = {
     "cantor.LevelSet",
     "perfectposet.OracleReport",
     "perfectposet.PCondition",
-    "perfectposet._conditions",  # builds PConditions from (n, mask) keys
 }
 TRUSTED = BIT_KERNEL | VALUES  # allowed to every oracle; not walked into
 
