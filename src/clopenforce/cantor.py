@@ -42,10 +42,9 @@ __all__ = [
 MAX_DEPTH = 24
 """Largest depth of a clopen set or cylinder, and largest level of a level set.
 
-A depth-d mask has 2^d bits and the range checks build 1 << 2^d, so one
-such value takes 2 MiB at depth 24 and gigabytes past depth 32.  24 is
-twice the deepest depth the tests and the benchmark use (12, the
-null-cover trap trees).
+A depth-d mask has 2^d bits, so one full mask takes 2 MiB at depth 24 and
+gigabytes past depth 32.  24 is twice the deepest depth the tests and the
+benchmark use (12, the null-cover trap trees).
 """
 
 
@@ -307,8 +306,8 @@ class LevelSet:
     mask: int
 
     def __post_init__(self) -> None:
-        check_depth(self.level, "level")
-        if not 0 <= self.mask < (1 << (1 << self.level)):
+        level = check_depth(self.level, "level")
+        if self.mask < 0 or self.mask.bit_length() > 1 << level:
             raise ValueError("mask out of range for level")
 
     @classmethod
@@ -330,15 +329,25 @@ class LevelSet:
         return len(bits) == self.level and self.mask >> node_index(bits) & 1 == 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ClopenSet:
+    """A set of depth-level nodes as one mask, 0 <= mask < 2^(2^depth).
+
+    Every construction validates, in the one `__init__` frame: the depth
+    against `check_depth`, then the mask by its bit length, which builds no
+    int.  The fields are stored through their slots; equality, hash, repr,
+    pickling and the frozen assignment errors are the dataclass's.
+    """
+
     depth: int
     mask: int
 
-    def __post_init__(self) -> None:
-        depth = check_depth(self.depth)
-        if not 0 <= self.mask < (1 << (1 << depth)):
+    def __init__(self, depth: int, mask: int) -> None:
+        check_depth(depth)
+        if mask < 0 or mask.bit_length() > 1 << depth:
             raise ValueError("mask out of range for depth")
+        _set_depth(self, depth)
+        _set_mask(self, mask)
 
     def nodes(self) -> tuple[str, ...]:
         return tuple(node_bits(i, self.depth) for i in positions(self.mask))
@@ -358,8 +367,13 @@ class ClopenSet:
         return f"d={self.depth}:{{{','.join(self.nodes())}}}"
 
 
+# slots=True builds a new class, so its slot setters are read after decoration
+_set_depth = ClopenSet.__dict__["depth"].__set__
+_set_mask = ClopenSet.__dict__["mask"].__set__
+
+
 def full_set(depth: int) -> ClopenSet:
-    return ClopenSet(depth, (1 << (1 << depth)) - 1)
+    return ClopenSet(depth, (1 << (1 << check_depth(depth))) - 1)
 
 
 def canonicalize(nodes: Iterable[str | tuple[int, ...]], depth: int) -> ClopenSet:

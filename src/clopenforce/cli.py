@@ -337,9 +337,8 @@ def _pforce_oracle_check(args) -> int:
                 for _ in range(rng.randint(1, 6)):
                     mask |= 1 << rng.randrange(1 << depth)
                 n = rng.randint(0, depth)
-                B = ClopenSet(depth, mask)
-                if cantor.density_ok(B, n):
-                    conds.append(perfectposet.PCondition(B, n))
+                if cantor.dense_mask(mask, depth, n):
+                    conds.append(perfectposet.PCondition(ClopenSet(depth, mask), n))
             a, b = conds
             if perfectposet.p_compatible(a, b) != perfectposet.compat_oracle(a, b):
                 disagreements += 1

@@ -56,9 +56,9 @@ class WeightFamily:
             raise ValueError("need 1 <= k <= 2^n")
         if self.Z.level != self.n:
             raise ValueError("hit set must live at the family's level")
-        seen = set()
+        seen, width = set(), 1 << self.n
         for T, a in self.weights:
-            if not 0 <= T < (1 << (1 << self.n)):
+            if T < 0 or T.bit_length() > width:
                 raise ValueError("weighted set out of range")
             if T in seen:
                 raise ValueError("duplicate weighted set")

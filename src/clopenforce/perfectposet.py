@@ -50,10 +50,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PCondition:
     """A condition (B, n): a positive-measure clopen set and a commitment
     level 0 <= n <= B.depth.
+
+    Every construction validates n and B's measure in the one `__init__`
+    frame and stores the fields through their slots; B ran its own checks,
+    whose range check builds no int.
 
     The conditions `main_cover` (and so `iterate_cover`) and
     `enumerate_pprime` (and so `DeskPoset`'s elements) hand out at depth <= 3
@@ -65,12 +69,13 @@ class PCondition:
     B: ClopenSet
     n: int
 
-    def __post_init__(self) -> None:
-        B, n = self.B, self.n
+    def __init__(self, B: ClopenSet, n: int) -> None:
         if not 0 <= n <= B.depth:
             raise ValueError(f"commitment level {n} out of range")
         if B.mask == 0:
             raise ValueError("conditions need positive measure")
+        _set_B(self, B)
+        _set_n(self, n)
 
     @property
     def depth(self) -> int:
@@ -78,6 +83,11 @@ class PCondition:
 
     def __str__(self) -> str:
         return f"({self.B}, n={self.n})"
+
+
+# slots=True builds a new class, so its slot setters are read after decoration
+_set_B = PCondition.__dict__["B"].__set__
+_set_n = PCondition.__dict__["n"].__set__
 
 
 _SHARED_DEPTH = 3

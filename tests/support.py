@@ -2,12 +2,15 @@
 sweeps, by a canonical form built bottom-up from the two halves' (no group
 or per-automorphism table, so depth 4 costs as little per mask as depth 3),
 seeded random generators for posets, weight families, and trap instances,
-and a table check for validated-input failures."""
+a table check for validated-input failures, and a counter of condition
+constructions."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -247,3 +250,24 @@ def assert_value_errors(cases) -> None:
             make()
         assert type(raised.value) is ValueError, message
         assert str(raised.value) == message
+
+
+# ---------------------------------------------------- construction counts
+
+
+@contextlib.contextmanager
+def counting_builds():
+    """While the block runs, count each `PCondition.__init__` call, before it
+    validates, in the yielded Counter keyed by B.depth."""
+    builds = Counter()
+    init = PCondition.__init__
+
+    def counted(self, B, n):
+        builds[B.depth] += 1
+        init(self, B, n)
+
+    PCondition.__init__ = counted
+    try:
+        yield builds
+    finally:
+        PCondition.__init__ = init

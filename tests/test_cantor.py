@@ -34,6 +34,7 @@ from clopenforce.cantor import (
     positions,
     projections,
 )
+from clopenforce.coverlemmas import WeightFamily
 
 
 def _kernel_cases(exhaustive=3):
@@ -257,6 +258,30 @@ def test_depth_bound():
                 make(depth, 0)
         with pytest.raises(ValueError):
             levelset_mask(0, depth, 0)
+
+
+def test_full_set_checks_the_depth_before_it_shifts():
+    # checked before the shift: -1 must not reach 1 << -1, nor 28 build a
+    # 2^28-bit int
+    assert_value_errors([
+        (lambda: full_set(-1), f"depth -1 outside 0..{MAX_DEPTH}"),
+        (lambda: full_set(28), f"depth 28 outside 0..{MAX_DEPTH}"),
+    ])
+    assert full_set(0) == ClopenSet(0, 1) and full_set(3).mask == 0xFF
+
+
+def test_range_checks_accept_exactly_the_masks_below_2_to_the_2_to_the_d():
+    for d in (0, 3, 12):
+        top, over = (1 << (1 << d)) - 1, 1 << (1 << d)
+        Z = LevelSet(d, top)
+        assert ClopenSet(d, top).mask == Z.mask == top
+        assert WeightFamily(d, 1, Z, ((top, Fraction(1)),)).weights == ((top, 1),)
+        assert_value_errors([
+            (lambda: ClopenSet(d, over), "mask out of range for depth"),
+            (lambda: LevelSet(d, over), "mask out of range for level"),
+            (lambda: WeightFamily(d, 1, Z, ((over, Fraction(1)),)),
+             "weighted set out of range"),
+        ])
 
 
 def test_positions_matches_bin():

@@ -19,6 +19,7 @@ from support import (
     assert_value_errors,
     automorphism,
     canon_sweep,
+    counting_builds,
     pair_orbits,
     random_pprime_condition,
 )
@@ -103,6 +104,28 @@ def test_conditions_are_slotted_values():
     assert repr(c) == "PCondition(B=ClopenSet(depth=3, mask=67), n=1)"
     assert str(c) == "(d=3:{000,001,110}, n=1)"
     assert c.depth == 3
+
+
+def test_constructor_errors_are_unchanged():
+    B = ClopenSet(3, 0b101)
+    assert ClopenSet(depth=3, mask=0b101) == B
+    assert PCondition(B=B, n=1) == PCondition(B, 1)
+    assert_value_errors([
+        (lambda: ClopenSet(MAX_DEPTH + 1, 1), f"depth {MAX_DEPTH + 1} outside 0..{MAX_DEPTH}"),
+        # the depth is checked before the mask
+        (lambda: ClopenSet(-1, -1), f"depth -1 outside 0..{MAX_DEPTH}"),
+        (lambda: ClopenSet(3, -1), "mask out of range for depth"),
+        (lambda: ClopenSet(3, 1 << 8), "mask out of range for depth"),
+        (lambda: ClopenSet(depth=3, mask=1 << 8), "mask out of range for depth"),
+        (lambda: PCondition(B, 4), "commitment level 4 out of range"),
+        (lambda: PCondition(B, -1), "commitment level -1 out of range"),
+        (lambda: PCondition(B=B, n=4), "commitment level 4 out of range"),
+        (lambda: PCondition(ClopenSet(3, 0), 1), "conditions need positive measure"),
+        (lambda: top_condition(-1), f"depth -1 outside 0..{MAX_DEPTH}"),
+        (lambda: dataclasses.replace(PCondition(B, 1), n=99), "commitment level 99 out of range"),
+        (lambda: dataclasses.replace(B, mask=1 << 8), "mask out of range for depth"),
+    ])
+    assert dataclasses.replace(PCondition(B, 1), n=2) == PCondition(B, 2)
 
 
 def test_every_depth_check_names_the_mismatch():
@@ -654,26 +677,19 @@ def test_desk_poset_agrees_with_module_predicates():
         desk.compatible(outsider, desk.top)
 
 
-def test_depth3_conditions_are_built_once(monkeypatch):
+def test_depth3_conditions_are_built_once():
     b3, c3 = cond(["000", "011", "101", "110"], 3, 3), top_condition(3)
     b4, c4 = cond(["00", "011", "101", "110"], 4, 2), cond(["00", "01", "10", "1100"], 4, 1)
     first = main_cover(b3, c3, 3)
-    builds = Counter()  # conditions constructed, by depth
-    check = PCondition.__post_init__
-
-    def counted(self):
-        builds[self.B.depth] += 1
-        check(self)
-
-    monkeypatch.setattr(PCondition, "__post_init__", counted)
-    again = main_cover(b3, c3, 3)
-    assert builds.total() == 0
-    assert len(again) > 100 and all(map(operator.is_, again, first))
-    # beyond depth 3 every call builds its members afresh
-    for _ in range(2):
-        builds.clear()
-        members = main_cover(b4, c4, 4)
-        assert builds == {4: len(members)} and len(members) > 100
+    with counting_builds() as builds:  # conditions constructed, by depth
+        again = main_cover(b3, c3, 3)
+        assert builds.total() == 0
+        assert len(again) > 100 and all(map(operator.is_, again, first))
+        # beyond depth 3 every call builds its members afresh
+        for _ in range(2):
+            builds.clear()
+            members = main_cover(b4, c4, 4)
+            assert builds == {4: len(members)} and len(members) > 100
 
 
 def test_shared_conditions_stay_bounded():
@@ -706,17 +722,16 @@ def test_desk_poset_and_covers_share_their_conditions():
 def test_cli_import_builds_no_condition():
     # cold CLI start-up fills no cache and constructs no condition
     code = (
+        "from support import counting_builds\n"
         "from clopenforce import perfectposet as pp\n"
-        "built = []\n"
-        "check = pp.PCondition.__post_init__\n"
-        "pp.PCondition.__post_init__ = lambda self: (built.append(self), check(self))\n"
-        "import clopenforce.cli\n"
-        "print(len(built), pp._shared.cache_info().currsize)\n"
+        "with counting_builds() as builds:\n"
+        "    import clopenforce.cli\n"
+        "print(builds.total(), pp._shared.cache_info().currsize)\n"
     )
     src = str(Path(perfectposet.__file__).parents[1])
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(Path(__file__).parent)])},
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "0"]
