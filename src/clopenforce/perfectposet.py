@@ -10,10 +10,11 @@ forms are tested against.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import groupby
-from operator import or_
+from operator import and_, itemgetter, or_
 from typing import Sequence
 
 from .cantor import (
@@ -192,7 +193,7 @@ def prune_to_dense(B: ClopenSet, n: int) -> PCondition:
     return PCondition(ClopenSet(depth, mask), n)
 
 
-MAX_TABLE_NODES = 16  # 2^16 unions or submasks per walk, as many as at depth 4
+MAX_TABLE_NODES = 16  # 2^16 unions per walk, or bits per oracle int: as at depth 4
 
 
 def _node_parts(mask: int, depth: int, level: int) -> list[int]:
@@ -307,11 +308,10 @@ class OracleReport:
         return not self.bad_members and not self.uncovered
 
 
-def _node_table(leaves: list[int], depth: int, level: int, least: int,
-                empty: bool) -> bytes:
+def _node_table(leaves: list[int], depth: int, level: int, least: int) -> bytes:
     """t[x] for every x over the ascending `leaves` (bit i of x is leaf i):
     1 when x holds `least` or more leaves under each level-`level` node it
-    meets, and meets every node of the leaves unless `empty`.
+    meets.
 
     The leaves under one node are consecutive bits of x, so the table grows
     node by node: one copy of itself, or zeros, per pattern of the node's
@@ -321,33 +321,50 @@ def _node_table(leaves: list[int], depth: int, level: int, least: int,
     for _, run in groupby(leaves, lambda p: p >> depth - level):
         zeros = bytes(len(table))
         table = b"".join(
-            table if (v.bit_count() >= least if v else empty) else zeros
+            table if not v or v.bit_count() >= least else zeros
             for v in range(1 << len(list(run)))
         )
     return table
 
 
-class _Recent:
-    """A reader of one level's projections that remembers its last two
-    masks and their values.  Beyond the kernel's tables every read is a
-    kernel call, and in the oracle's walk every other read at a level is
-    of b's mask or of the e just read."""
+def _meets(bits: int, lo: int, hi: int) -> int:
+    """Bit x set for the x < 2^bits holding a bit in lo..hi - 1: 2^lo clear, the rest
+    of a period of 2^hi set, the period doubled up to 2^bits."""
+    mask, span = (1 << (1 << hi)) - (1 << (1 << lo)), 1 << hi
+    while span >> bits == 0:
+        mask |= mask << span
+        span <<= 1
+    return mask
 
-    __slots__ = ("read", "last", "before")
 
-    def __init__(self, read) -> None:
-        self.read = read
-        self.last = self.before = (-1, None)
+@cache
+def _node_bits(depth: int) -> tuple:
+    """M[level][j]: bit e set for the masks e at this depth (<= TABLE_DEPTH)
+    that meet node j of `level`; 248 KB at depth 4."""
+    return tuple(tuple(_meets(1 << depth, j << depth - level, j + 1 << depth - level)
+                       for j in range(1 << level)) for level in range(depth + 1))
 
-    def __getitem__(self, mask: int):
-        last = self.last
-        if mask == last[0]:
-            return last[1]
-        if mask == self.before[0]:
-            self.last, self.before = self.before, last
-        else:
-            self.last, self.before = (mask, self.read[mask]), last
-        return self.last[1]
+
+def _packed(table: bytes) -> int:
+    """Entry x of a 0/1 byte table as bit x of one int."""
+    return int(table[::-1].translate(_BINARY), 2)
+
+
+_BINARY = bytes.maketrans(b"\0\1", b"01")
+
+
+@cache
+def _dense_bits(depth: int) -> tuple:
+    return tuple(map(_packed, densities(depth)))
+
+
+def _meet(masks, nodes: int, op=or_, out: int = 0) -> int:
+    """out OR (or op) masks[j] for each set bit j of nodes, low bit first."""
+    while nodes:
+        low = nodes & -nodes
+        out = op(out, masks[low.bit_length() - 1])
+        nodes ^= low
+    return out
 
 
 def cover_oracle(
@@ -358,25 +375,28 @@ def cover_oracle(
     Every dense-part condition below c that is incompatible with b and of
     height <= k must extend some member, and every member must itself be a
     dense-part condition of height <= k below c that is incompatible with
-    b.  Enumerates all submasks of c's set, so desk scale only: more than
+    b.  Covers all submasks of c's set, so desk scale only: more than
     MAX_TABLE_NODES leaves in c is a ValueError.
 
-    The submasks e of c are walked by mask, e = (e - 1) & c, descending.
-    Whether e meets every level-m node of c and whether it is dense at each
-    height m..k are table reads, so no submask is projected for them.  At
-    depth <= TABLE_DEPTH they are the kernel's own tables (`projections`,
-    `densities`), read at e.  Beyond it they are byte tables built once per
-    call by `_node_table`, read at e's index over c's leaves, which falls
-    by one as e falls: tables keyed by mask would hold every submask, each
-    of up to 2^depth bits.  Members are bucketed by level and trace once,
-    and each e is looked up level by level from m only until a member above
-    it turns up, however many heights it is checked at.
+    No submask is visited one at a time: each predicate is one int whose bit
+    x is its value at the submask indexed x (the mask itself at depth <=
+    TABLE_DEPTH, else x over c's leaves), built from the ints M[level][j] of
+    the x meeting node j.  At height ell an x is checked when it meets every
+    level-m node of c, is dense and is incompatible with b: it meets some
+    level-L node, L = min(ell, n), that b does not meet or the other way
+    round, or (ell >= n) some level-ell node it meets misses x & b, or
+    (ell < n) some level-n node of b misses x & b.  Each member marks its
+    index at its level (a member q outside c marks q & c if that keeps q's
+    trace); the marks close downward one leaf p at a time, as x without p
+    stays covered while it meets p's level-ell node (the superset-sum
+    transform, Knuth, TAOCP 4A 7.1.3).  A member inside c and in range is
+    good when it is checked at its level.  The uncovered are listed with e
+    descending, then height ascending.
 
-    Chain of trust: incompatibility with b is decided by the closed form
-    `_compat_masks`, which `compat_oracle` audits exhaustively at depth 3
-    (every pair with n <= 2) and by sampling at depth 4.  Nothing else but
-    the bit kernel is shared with `main_cover`.  `tests/oracle_restated.py`
-    keeps the naive walk that this one must equal, report for report.
+    Chain of trust: only the bit kernel is shared with `main_cover` and the
+    closed forms of order and compatibility.  `tests/oracle_restated.py`
+    keeps the naive walk, incompatibility decided by `_compat_masks` (which
+    `compat_oracle` audits), and this oracle equals it report for report.
     """
     depth = _same_depth(b, c)
     m, cmask = c.n, c.B.mask
@@ -385,70 +405,82 @@ def cover_oracle(
         raise ValueError(f"{cmask.bit_count()} leaves in c: the oracle's tables "
                          f"stop at {MAX_TABLE_NODES}")
     kk = min(k, depth)
-    # table reads skip the range check: members are validated conditions
-    # and every e is a submask of c's mask
-    P, D = projections(depth), densities(depth)
-    by_mask = depth <= TABLE_DEPTH
-    if not by_mask:
-        P = tuple(map(_Recent, P))
-    lv_c_m = P[m][cmask]
-
-    bad_members = []
-    # per level m..kk: trace -> the complements of the members' masks
-    buckets = [{} for _ in range(m, kk + 1)]
-    for q in members:
-        _same_depth(q, c)
-        qm, qn = q.B.mask, q.n
-        if (
-            not m <= qn <= k
-            or not D[qn][qm]
-            or qm & ~cmask
-            or P[m][qm] != lv_c_m
-            or _compat_masks(qm, qn, bmask, n, P)
-        ):
-            bad_members.append(q)
-        if m <= qn <= kk:
-            buckets[qn - m].setdefault(P[qn][qm], []).append(~qm)
-    if kk < m:
-        return OracleReport(tuple(bad_members), (), 0)
-
-    if by_mask:
-        at_m, dense = P[m], D[m:kk + 1]
+    # reads skip the range check: they read c, b, members and their parts
+    P = projections(depth)
+    leaves = positions(cmask)
+    if depth <= TABLE_DEPTH:
+        M, steps, bits = _node_bits(depth), [1 << p for p in leaves], 1 << depth
+        dense, index = _dense_bits(depth)[m:kk + 1], int
     else:
-        # read at e's index x over c's leaves: bit i of x is c's i-th leaf
-        leaves = positions(cmask)
-        met = _node_table(leaves, depth, m, 1, False)
-        at_m = [lv_c_m if t else None for t in met]  # c's trace where met
+        bits, steps = len(leaves), [1 << i for i in range(len(leaves))]
+        slot = dict(zip(leaves, steps))
+        index = lambda mask: sum(map(slot.__getitem__, positions(mask)))
+        M = [{j: _meets(bits, bisect_left(leaves, j << depth - level),
+                        bisect_left(leaves, j + 1 << depth - level))
+              for j in positions(P[level][cmask])} for level in range(depth + 1)]
         # at ell >= depth - 1 any nonempty node is dense: `least` is 1 or 0
-        dense = [
-            _node_table(leaves, depth, ell, (1 << depth - ell) // 2, True)
-            for ell in range(m, kk + 1)
-        ]
+        dense = [_packed(_node_table(leaves, depth, ell, (1 << depth - ell) // 2))
+                 for ell in range(m, kk + 1)]
+    has = M[depth]
+    base = 1  # the submasks of c, then those meeting every level-m node of c
+    for step in steps:
+        base |= base << step
+    base = _meet(M[m], P[m][cmask], and_, base)
+    both, rest = bmask & cmask, cmask & ~bmask
+    fenced = 0  # below n: every level-n node of b meets x & b
+    if n > m and P[n][both] == P[n][bmask]:
+        fenced = reduce(and_, (_meet(has, both & cyl_mask(depth, n, j))
+                               for j in positions(P[n][both])), base)
+    size, outside = ((1 << bits) + 7) // 8, ~cmask
+    marks = [bytearray(size) for _ in dense]
+    strays = False  # a member out of range or outside c, so bad
+    for q in members:
+        B = q.B
+        if B.depth != depth:
+            _same_depth(q, c)
+        qm, qn = B.mask, q.n
+        if not m <= qn <= k or qm & outside:
+            strays = True
+            if not m <= qn <= k or P[qn][qm & cmask] != P[qn][qm]:  # q & c misses a node
+                continue
+            qm &= cmask
+        x = qm if index is int else index(qm)
+        marks[qn - m][x >> 3] |= 1 << (x & 7)
 
-    uncovered: list[PCondition] = []
-    checked = 0
-    e, x = cmask, (1 << cmask.bit_count()) - 1
-    while e:
-        key = e if by_mask else x
-        if at_m[key] == lv_c_m:
-            covered = False
-            scanned = m  # the next level to look for a member above e at
-            for ell, table in enumerate(dense, m):
-                if not table[key]:
-                    continue
-                if _compat_masks(e, ell, bmask, n, P):
-                    continue
-                checked += 1
-                while not covered and scanned <= ell:
-                    for above in buckets[scanned - m].get(P[scanned][e], ()):
-                        if not e & above:
-                            covered = True
-                            break
-                    scanned += 1
-                if not covered:
-                    uncovered.append(PCondition(ClopenSet(depth, e), ell))
-        e, x = (e - 1) & cmask, x - 1
-    return OracleReport(tuple(bad_members), tuple(uncovered), checked)
+    need, found, covered = [], [], 0
+    for ell, dense_ell, row in zip(range(m, kk + 1), dense, marks):
+        if ell <= n or ell == m:  # x meets each level-L node exactly when b does
+            L = min(ell, n)
+            tb, tc = P[L][bmask], P[L][cmask]
+            agree = 0 if tb & ~tc else _meet(M[L], tb, and_, base) & ~_meet(M[L], tc ^ tb)
+        if ell < n:
+            compatible = agree & fenced
+        else:  # every level-ell node that x meets also meets x & b
+            tin, tout = P[ell][both], P[ell][rest]
+            compatible = agree & ~_meet(M[ell], tout & ~tin)
+            for j in positions(tout & tin) if tout & tin else ():
+                compatible &= ~M[ell][j] | _meet(has, both & cyl_mask(depth, ell, j))
+        need.append(need_ell := base & dense_ell & ~compatible)
+        t = int.from_bytes(row, "little")
+        strays = strays or t & ~need_ell != 0  # a member inside c that fails
+        if t and ell < depth:
+            nodes, up = M[ell], depth - ell
+            for step, p in zip(steps, leaves):
+                t |= (t & has[p]) >> step & nodes[p >> up]
+        covered |= t
+        if need_ell & ~covered:
+            found += [(x, ell) for x in positions(need_ell & ~covered)]
+    bad_members = []
+    if strays:  # a member in range and inside c is good when its bit is set
+        good = [x.to_bytes(size, "little") for x in need]
+        bad_members = [q for q in members if not (
+            m <= q.n <= k and not q.B.mask & outside
+            and good[q.n - m][(x := index(q.B.mask)) >> 3] >> (x & 7) & 1)]
+    found.sort(key=itemgetter(0), reverse=True)  # stable: heights stay ascending
+    if depth > TABLE_DEPTH:
+        found = [(sum(1 << leaves[i] for i in positions(x)), ell) for x, ell in found]
+    uncovered = tuple([PCondition(ClopenSet(depth, e), ell) for e, ell in found])
+    return OracleReport(tuple(bad_members), uncovered, sum(map(int.bit_count, need)))
 
 
 def enumerate_pprime(depth: int, max_n: int | None = None) -> tuple[PCondition, ...]:

@@ -7,6 +7,13 @@ body names: by its own module's name, through `from .module import name`, or
 as an attribute of a package module imported with `from . import module`.
 The receiver of any other attribute is not known statically, so an attribute
 that some package class defines as a method or property reaches that class.
+
+Chain of trust for the cover oracle: `cover_oracle` decides incompatibility
+with b from its own per-node bit tables, so it shares only the bit kernel
+with `main_cover` and with the compatibility closed form `_compat_masks`.
+`tests/oracle_restated.py` still decides incompatibility by `_compat_masks`,
+which `compat_oracle` audits, and `cover_oracle` must equal it report for
+report.
 """
 
 import ast
@@ -45,12 +52,21 @@ ORACLES = (
     ),
     (
         "perfectposet.cover_oracle",
-        {"perfectposet.main_cover", "perfectposet.iterate_cover", "perfectposet._node_parts"},
+        {
+            "perfectposet.main_cover",
+            "perfectposet.iterate_cover",
+            "perfectposet._node_parts",
+            "perfectposet.p_compatible",
+            "perfectposet._compat_masks",
+        },
         {
             "perfectposet._same_depth",
-            "perfectposet._compat_masks",  # audited by compat_oracle
             "perfectposet._node_table",
-            "perfectposet._Recent",
+            "perfectposet._meets",
+            "perfectposet._meet",
+            "perfectposet._node_bits",
+            "perfectposet._packed",
+            "perfectposet._dense_bits",
         },
     ),
     (

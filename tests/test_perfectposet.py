@@ -8,6 +8,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from support import (
     random_pprime_condition,
 )
 
-from clopenforce import perfectposet
+from clopenforce import cantor, perfectposet
 from clopenforce.cantor import (
     MAX_DEPTH,
     TABLE_DEPTH,
@@ -490,6 +491,39 @@ def test_cover_oracle_equals_restatement_depth4_sample():
             assert assert_oracles_agree(b, c, k, main_cover(b, c, k)).ok
 
 
+# ROADMAP's slowest depth-4 audits, b one or two leaves at n = 4 against
+# top, k = 4, on the full cover and on every 7th member: (b's leaves, the
+# step, members audited, checked, uncovered, sha256 of the uncovered
+# (n, mask) list).  Pinned from the oracle that scanned a bucket of members
+# per submask, which took 31 + 4.9 s (one leaf) and 42 + 6.3 s (two leaves)
+# in process on a 2-core Xeon VM (Python 3.11).
+TOP_AUDITS_D4 = (
+    (["0000"], 1, 82_257, 194_975, 0,
+     "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (["0000"], 7, 11_751, 194_975, 82_575,
+     "03c854b5a69f72fd1124d22cd344df3a9d8f795324306433058d783b5cf44d1a"),
+    (["0000", "0001"], 1, 92_211, 204_929, 0,
+     "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (["0000", "0001"], 7, 13_173, 204_929, 42_807,
+     "fdb56cbcb5de09d132859441075d3cdf64cb6f857a1bc8c2c06d041b7019ca62"),
+)
+
+
+def test_depth4_leaf_audits_against_top_run_in_time():
+    top, spent = top_condition(4), 0.0
+    for nodes, step, size, checked, missed, digest in TOP_AUDITS_D4:
+        b = cond(nodes, 4, 4)
+        members = main_cover(b, top, 4)[::step]
+        start = time.perf_counter()
+        report = cover_oracle(b, top, 4, members)
+        spent += time.perf_counter() - start
+        uncovered = [(q.n, q.B.mask) for q in report.uncovered]
+        assert (len(members), report.checked, len(uncovered)) == (size, checked, missed)
+        assert not report.bad_members
+        assert hashlib.sha256(repr(uncovered).encode()).hexdigest() == digest
+    assert spent < 3.0, spent
+
+
 def small_dense_condition(rng, depth, n, max_leaves):
     """A seeded dense condition of height n with at most max_leaves leaves:
     some level-n nodes, each given the half of its cylinder it needs, then
@@ -580,6 +614,33 @@ def test_cover_oracle_reports_a_member_outside_c():
     assert seen >= 100
 
 
+def test_a_member_outside_c_covers_through_its_trace_on_c():
+    # a top member q (extending no other member) grown by a leaf outside c:
+    # inside a level-q.n node that q meets, it keeps its trace on c and still
+    # covers what q covered; in a node q does not meet, it covers nothing,
+    # so q goes uncovered as if dropped.  Either way it is the one bad member.
+    seen = Counter()
+    for rng, b, c, k, cover in mutation_cases():
+        depth = c.depth
+        outside = ~c.B.mask & (1 << (1 << depth)) - 1
+        tops = [q for q in cover if not any(p_leq(q, r) for r in cover if r != q)]
+        q = rng.choice(tops)
+        at = cover.index(q)
+        near = 0
+        for j in positions(levelset_mask(q.B.mask, depth, q.n)):
+            near |= cyl_mask(depth, q.n, j)
+        dropped = assert_oracles_agree(b, c, k, cover[:at] + cover[at + 1:])
+        assert q in dropped.uncovered
+        for leaves, want in ((outside & near, ()), (outside & ~near, dropped.uncovered)):
+            if leaves:
+                leaf = rng.choice(positions(leaves))
+                grown = PCondition(ClopenSet(depth, q.B.mask | 1 << leaf), q.n)
+                report = assert_oracles_agree(b, c, k, cover[:at] + [grown] + cover[at + 1:])
+                assert report.bad_members == (grown,) and report.uncovered == want
+                seen[depth, bool(want)] += 1
+    assert min(seen[depth, kind] for depth in (3, 5) for kind in (False, True)) >= 10, seen
+
+
 def test_cover_oracle_reports_a_member_outside_the_dense_part():
     # one committed node of a member keeps a single leaf: the trace stands,
     # the density goes
@@ -636,6 +697,33 @@ def test_depth4_cover_oracle_projects_no_submask(monkeypatch):
                 report = cover_oracle(b, c, 4, members)
             assert report.checked > 1 << 12
             assert calls <= len(members), (c, len(members), calls)
+
+
+def test_depth5_cover_oracle_reads_the_kernel_per_level_not_per_submask(monkeypatch):
+    # beyond the kernel's tables every projection or density read is a
+    # `cantor._project` or `cantor._dense` call: the oracle makes a few per
+    # level, none for a member inside c, however many submasks c has
+    reads = 0
+    read = cantor._Reader.__getitem__
+
+    def counted(reader, mask):
+        nonlocal reads
+        reads += 1
+        return read(reader, mask)
+
+    b = cond(["0000"], 5, 4)
+    for c in (cond(["00", "01"], 5, 1), cond(["000", "001", "010", "110"], 5, 3)):
+        assert c.B.mask.bit_count() == 16
+        cover = main_cover(b, c, 5)
+        counts = []
+        for members in (cover, cover[::7]):
+            reads = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(cantor._Reader, "__getitem__", counted)
+                report = cover_oracle(b, c, 5, members)
+            assert report.checked > 1 << 16 and not report.bad_members
+            counts.append(reads)
+        assert counts[0] == counts[1] <= 5 * (c.depth + 1), counts
 
 
 def test_iterate_cover_examples():
