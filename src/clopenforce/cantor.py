@@ -112,15 +112,10 @@ for _bit in range(8):
 # at depth <= 4 a mask has at most 16 bits, so every projection and density
 # test is one read of a byte table, built on first use of its depth from the
 # tables at depth - 1, whose masks are the two halves of a mask (all of
-# depth 4 in under a millisecond)
+# depth 4 in under a millisecond).  Beyond, each is one pass over the mask's
+# bytes, each byte the depth-3 subtree below a level-(depth - 3) node.
 TABLE_DEPTH = 4
 """Deepest depth whose projections and densities are byte tables."""
-# beyond the tables a projection is one pass over the mask's bytes, each the
-# depth-3 subtree below a level-(depth-3) node.  A density test walks the
-# mask node by node, as the walk stops at the first thin node, and its rest
-# after _WALK_NODES nodes is one byte pass: that costs about 2 walk steps at
-# level 1 and within 3 of the depth, 15 to 30 in between (depths 5 to 16).
-_WALK_NODES = 16
 _BYTE_DEPTH = 3
 
 
@@ -221,38 +216,21 @@ def _digits(sub: int) -> bytes:
 
 
 def _dense(mask: int, depth: int, level: int) -> bool:
-    """dense_mask beyond the tables, unchecked."""
+    """dense_mask beyond the tables, unchecked: a read of mask's bytes, each
+    the depth-3 subtree below a level-(depth-3) node.  Within 3 levels of the
+    depth a byte's level-(3 - up) nodes are level-`level` nodes of the tree,
+    so one translate through the depth-3 table reads them all.  Coarser, one
+    projection lists the nonempty level-`level` nodes, each a run of
+    2^(up-3) whole bytes whose leaves are counted in place."""
     if level >= depth:
         return True
     up = depth - level
-    block = (1 << (1 << up)) - 1
-    need = 1 << up - 1
-    walk = _WALK_NODES
-    while mask:
-        if not walk:
-            return _dense_bytes(mask, depth, level)
-        walk -= 1
-        j = (mask & -mask).bit_length() - 1 >> up
-        if (mask >> (j << up) & block).bit_count() < need:
-            return False
-        mask &= -1 << (j + 1 << up)
-    return True
-
-
-def _dense_bytes(mask: int, depth: int, level: int) -> bool:
-    """_dense in one pass over mask's bytes (level < depth)."""
     data = mask.to_bytes(1 << depth - _BYTE_DEPTH, "little")
-    up = depth - level
     if up <= _BYTE_DEPTH:
-        # a byte's level-(3 - up) nodes are level-`level` nodes of the tree
-        # and need as many leaves
         return 0 not in data.translate(densities(_BYTE_DEPTH)[_BYTE_DEPTH - up])
-    need = 1 << up - 1
-    width = 1 << up - _BYTE_DEPTH  # bytes per node
-    return not any(
-        0 < int.from_bytes(data[i:i + width], "little").bit_count() < need
-        for i in range(0, len(data), width)
-    )
+    need, width = 1 << up - 1, 1 << up - _BYTE_DEPTH
+    return all(int.from_bytes(data[j * width:(j + 1) * width], "little").bit_count() >= need
+               for j in positions(_project(mask, depth, level)))
 
 
 def _check_mask(mask: int, depth: int) -> None:

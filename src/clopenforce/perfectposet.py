@@ -477,8 +477,12 @@ def cover_oracle(
             m <= q.n <= k and not q.B.mask & outside
             and good[q.n - m][(x := index(q.B.mask)) >> 3] >> (x & 7) & 1)]
     found.sort(key=itemgetter(0), reverse=True)  # stable: heights stay ascending
-    if depth > TABLE_DEPTH:
-        found = [(sum(1 << leaves[i] for i in positions(x)), ell) for x, ell in found]
+    if depth > TABLE_DEPTH and found:  # x to its mask, one table read per byte of x
+        lo, hi = [0], [0]
+        for table, part in ((lo, leaves[:8]), (hi, leaves[8:])):
+            for p in part:
+                table += [e | 1 << p for e in table]
+        found = [(lo[x & 255] | hi[x >> 8], ell) for x, ell in found]
     uncovered = tuple([PCondition(ClopenSet(depth, e), ell) for e, ell in found])
     return OracleReport(tuple(bad_members), uncovered, sum(map(int.bit_count, need)))
 

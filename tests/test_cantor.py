@@ -97,10 +97,10 @@ def test_table_readers_match_the_kernel():
 
 
 def _deep_cases(rng, depth):
-    """Seeded depth-`depth` masks for the paths beyond the tables: a few
-    leaves (the density walk), many leaves (the walk, then one pass over the
-    bytes), and unions of cylinders with a few leaves dropped, so that some
-    are dense at some levels."""
+    """Seeded depth-`depth` masks for the byte passes beyond the tables: a
+    few leaves, many leaves, unions of cylinders with a few leaves dropped,
+    so that some are dense at some levels, and masks whose one thin node is
+    their first or their last."""
     size = 1 << depth
     for count in (0, 1, 3, 16, 17, 40, size // 2):
         mask = 0
@@ -117,6 +117,18 @@ def _deep_cases(rng, depth):
         for _ in range(rng.randint(0, 3)):
             mask &= ~(1 << rng.randrange(size))
         yield mask
+    # 16 and 17 nonempty nodes at a level at least 2 above the depth, each
+    # with exactly the leaves it needs but one, first or last, that lacks a
+    # leaf: a read may stop at the first node, or must reach the 17th
+    for count in (16, 17):
+        levels = range((count - 1).bit_length(), depth - 1)
+        for thin in (0, count - 1) if levels else ():
+            level = rng.choice(levels)
+            half = 1 << depth - level - 1
+            mask = 0
+            for i, j in enumerate(sorted(rng.sample(range(1 << level), count))):
+                mask |= (1 << half - (i == thin)) - 1 << (j << depth - level)
+            yield mask
 
 
 def _deeper_cases(rng, depth):
@@ -176,6 +188,7 @@ def test_deep_kernel_is_linear_in_the_mask():
     assert levelset_mask(mask, 20, 19) == (1 << (1 << 18)) - 1
     assert dense_mask(mask, 20, 19) and dense_mask(mask, 20, 14)
     assert not dense_mask(mask & ~31, 20, 17)  # 3 of 8 leaves left below 0^17
+    assert not dense_mask(sum(1 << p for p in (3, 70_000, 500_000, 1_048_575)), 20, 14)
     assert time.perf_counter() - start < 1
 
 
@@ -202,7 +215,7 @@ def test_dense_mask_out_of_range_raises():
             dense_mask(mask, depth, level)
     for depth in range(7):
         bad = [1 << (1 << depth), 1 << 70]
-        if depth <= 4:  # a negative mask on the density walk: see the next test
+        if depth <= 4:  # a negative mask beyond the tables: see the next test
             bad += [-1, -(1 << 40)]
         for mask in bad:
             for level in {0, depth, depth + 1}:
@@ -213,9 +226,8 @@ def test_dense_mask_out_of_range_raises():
 
 
 def test_levelset_mask_negative_on_loop_path_raises_in_time():
-    # beyond the tables a negative mask never ends the density walk, and
-    # the byte pass cannot read it, unless it is rejected first; a child
-    # process lets a hang fail the test
+    # beyond the tables no byte pass can read a negative mask, so it must
+    # be rejected first; a child process lets a hang fail the test
     src = str(Path(cantor.__file__).parents[1])
     for call in ("levelset_mask(-1, 5, 1)", "dense_mask(-1, 5, 1)"):
         code = f"from clopenforce.cantor import *\n{call}\n"

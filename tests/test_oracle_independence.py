@@ -82,9 +82,13 @@ ORACLES = (
 )
 
 
+MODULE_CODE = "<module>"  # the node of a module's code outside its functions and classes
+
+
 @pytest.fixture(scope="module")
 def graph() -> dict[str, set[str]]:
-    """Each package node -> the package nodes its body reaches."""
+    """Each package node -> the package nodes its body reaches, and each
+    module's MODULE_CODE node -> those its other statements reach."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
     tops = {
         mod: [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
@@ -110,9 +114,11 @@ def graph() -> dict[str, set[str]]:
                         modules[local] = alias.name
                     else:
                         names[local] = f"{imp.module}.{alias.name}"
-        for top in tops[mod]:
+        bodies = {f"{mod}.{top.name}": [top] for top in tops[mod]}
+        bodies[f"{mod}.{MODULE_CODE}"] = [n for n in tree.body if n not in tops[mod]]
+        for own, body in bodies.items():
             reached = set()
-            for sub in ast.walk(top):
+            for sub in (sub for node in body for sub in ast.walk(node)):
                 if isinstance(sub, ast.Name) and sub.id in names:
                     reached.add(names[sub.id])
                 elif isinstance(sub, ast.Attribute):
@@ -120,7 +126,6 @@ def graph() -> dict[str, set[str]]:
                         reached.add(f"{modules[sub.value.id]}.{sub.attr}")
                     else:
                         reached |= owners.get(sub.attr, set())
-            own = f"{mod}.{top.name}"
             edges[own] = (reached & nodes) - {own}
     return edges
 
@@ -156,3 +161,22 @@ def test_oracles_reach_only_their_allowlist(graph):
     for oracle, _, allowed in ORACLES:
         extra = reach(graph, oracle, TRUSTED) - TRUSTED - allowed
         assert not extra, f"{oracle} reaches {sorted(extra)}"
+
+
+def test_every_private_function_and_class_is_reachable(graph):
+    # from a public name, a handler registered with @_verb, or module code:
+    # a private helper that nothing reaches is dead code
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    handlers = {
+        f"cli.{top.name}" for top in cli.body if isinstance(top, ast.FunctionDef)
+        and any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_verb"
+                for d in top.decorator_list)
+    }
+    assert "cli._eps" in handlers
+    private = {name for name in graph if name.split(".", 1)[1].startswith("_")}
+    roots = (graph.keys() - private) | handlers
+    assert {f"cantor.{MODULE_CODE}", "cli.main"} <= roots
+    reached = set(roots)
+    for root in roots:
+        reached |= reach(graph, root)
+    assert private - reached == set()

@@ -677,15 +677,16 @@ def test_cover_oracle_reports_a_member_above_height_k():
 
 
 def test_depth4_cover_oracle_projects_no_submask(monkeypatch):
-    # the walk reads the kernel's tables: calls to levelset_mask stay within
-    # one per member, however many submasks c has
+    # every predicate is one int over all submasks, built from a few node
+    # sets per level: the oracle lists set bits a bounded number of times,
+    # neither once per member nor once per submask
     b = cond(["00", "011", "101", "110"], 4, 2)
     calls = 0
 
-    def counted(*args):
+    def counted(mask):
         nonlocal calls
         calls += 1
-        return levelset_mask(*args)
+        return positions(mask)
 
     for c in (cond(["00", "01", "10", "1100"], 4, 1), top_condition(4)):
         assert c.B.mask.bit_count() >= 12
@@ -693,10 +694,10 @@ def test_depth4_cover_oracle_projects_no_submask(monkeypatch):
         for members in (cover, cover[:10]):
             calls = 0
             with monkeypatch.context() as patch:
-                patch.setattr(perfectposet, "levelset_mask", counted)
+                patch.setattr(perfectposet, "positions", counted)
                 report = cover_oracle(b, c, 4, members)
             assert report.checked > 1 << 12
-            assert calls <= len(members), (c, len(members), calls)
+            assert calls <= 2 * (4 + 1), (c, len(members), calls)
 
 
 def test_depth5_cover_oracle_reads_the_kernel_per_level_not_per_submask(monkeypatch):
