@@ -193,7 +193,7 @@ def prune_to_dense(B: ClopenSet, n: int) -> PCondition:
     return PCondition(ClopenSet(depth, mask), n)
 
 
-MAX_TABLE_NODES = 16  # 2^16 unions per walk, or bits per oracle int: as at depth 4
+MAX_TABLE_NODES = 16  # 2^16 unions per deep main_cover walk, or bits per oracle int
 
 
 def _node_parts(mask: int, depth: int, level: int) -> list[int]:
@@ -218,19 +218,30 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
     either u's trace at s already disagrees with b's (family A, unions of
     c's level-ell nodes), or it agrees and one committed node of the finer
     side is missed or has b's mass cut away below it (family B, unions of
-    c's level-fine nodes).  One walk over the unions at a level sorts each u
-    into its family: the level-ell unions when ell >= n, else the level-n
-    unions (B) and then the level-ell ones (A).  The walk is in Gray-code
-    order, each step XOR-ing one node's part into the one live union, so no
-    union is kept.  Candidates outside the dense part at ell are dropped; a
-    dropped candidate can dominate no dense condition either, so nothing
-    dense is lost.
+    c's level-fine nodes).  Candidates outside the dense part at ell are
+    dropped; a dropped candidate can dominate no dense condition either, so
+    nothing dense is lost.  The members come by height, and each height's
+    in ascending mask order.
+
+    At depth <= TABLE_DEPTH no union is visited one at a time: each height's
+    members are read off one int over all masks (`_cover_by_bits`).  Beyond,
+    where such an int would have 2^(2^depth) bits, one walk over the unions
+    at a level sorts each u into its family: the level-ell unions when
+    ell >= n, else the level-n unions (B) and then the level-ell ones (A).
+    The walk is in Gray-code order, each step XOR-ing one node's part into
+    the one live union, so no union is kept.
     """
     depth = _same_depth(b, c)
     if not in_pprime(b) or not in_pprime(c):
         raise ValueError("main_cover expects dense-part conditions")
     if k > depth:
         raise DepthExhausted(f"height bound {k} exceeds depth {depth}")
+    if depth <= TABLE_DEPTH:
+        heights = _cover_by_bits(b, c, k)
+        # the path is picked once per call, so a depth-4 member costs no extra call
+        if depth <= _SHARED_DEPTH:
+            return [_shared(depth, ell, mask) for ell, masks in heights for mask in masks]
+        return [PCondition(ClopenSet(depth, mask), ell) for ell, masks in heights for mask in masks]
     n, m = b.n, c.n
     bmask, cmask = b.B.mask, c.B.mask
     # table reads skip the range check: every u is a submask of c's mask
@@ -274,10 +285,86 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
                     cand = (u & ~cyl) | (cmask & cyl & ~bmask)
                     if dense[cand]:
                         found.add((ell, cand))
-    # the path is picked once per call, so a deep member costs no extra call
-    if depth <= _SHARED_DEPTH:
-        return [_shared(depth, ell, mask) for ell, mask in sorted(found)]
     return [PCondition(ClopenSet(depth, mask), ell) for ell, mask in sorted(found)]
+
+
+@cache
+def _cover_tables(depth: int) -> tuple:
+    """(M, D) at a depth <= TABLE_DEPTH, as ints over its 2^(2^depth) masks:
+    bit u of M[level][j] is set when u meets node j of `level`, bit u of
+    D[ell] when u is dense at ell; 315 KB at depth 4.  A leaf's int is one
+    run of ones doubled to the full size, a node's the OR of its children's.
+    """
+    size, M = 1 << (1 << depth), [[]]
+    for p in range(1 << depth):  # bit p of u is set in the upper half of each 2^(p+1) run
+        x, span = (1 << (1 << p)) - 1 << (1 << p), 2 << p
+        while span < size:
+            x |= x << span
+            span <<= 1
+        M[0].append(x)
+    while len(M[0]) > 1:
+        M.insert(0, list(map(or_, M[0][::2], M[0][1::2])))
+    zero_one = bytes.maketrans(b"\0\1", b"01")
+    return M, [int(t[::-1].translate(zero_one), 2) for t in densities(depth)]
+
+
+def _cover_by_bits(b: PCondition, c: PCondition, k: int) -> list[tuple[int, list[int]]]:
+    """`main_cover` at depth <= TABLE_DEPTH: (ell, the masks of its members,
+    ascending) per height, the set bits of one int whose bit u is set when
+    the mask u is a member (bitset subset sums and packed predicates, Knuth,
+    TAOCP 4A 7.1.3).
+
+    The unions of c's level-L parts are one int, each part doubling it by a
+    shifted copy.  A union keeps b's trace at s when it meets each of b's
+    level-s nodes and no other node of c there.  A cut at a committed node t
+    keeps c's part outside b below t.  A union meeting t holds all of c's
+    part there, so the cut takes c & b's part below t off its index: one
+    right shift for all the unions.
+    """
+    depth, n, m = c.B.depth, b.n, c.n
+    bmask, cmask = b.B.mask, c.B.mask
+    P = projections(depth)
+    M, D = _cover_tables(depth)
+    # the masks up to c's that meet every level-m node of c: every int below
+    # is ANDed with it, so none is longer than c's mask + 1 bits
+    base = (2 << cmask) - 1
+    for j in positions(P[m][cmask]):
+        base &= M[m][j]
+    # in base, for the levels ell and fine; the parts are cut from the table
+    # here, as `_node_parts`' validated read costs a small call a tenth more
+    unions = {}
+    for level in {*range(m, k + 1), max(m, n)}:
+        x, shift = 1, depth - level
+        block = (1 << (1 << shift)) - 1
+        for j in positions(P[level][cmask]):
+            x |= x << (cmask & block << (j << shift))
+        unions[level] = x & base
+    # below n, b's level-n nodes are committed: the masks meeting each of them
+    committed, meets = P[n][bmask], base
+    for j in positions(committed) if m < n else ():
+        meets &= M[n][j]
+    heights = []
+    for ell in range(m, k + 1):
+        if ell <= n or ell == m:  # s = min(ell, n) stays n from n on
+            s = min(ell, n)
+            tb, tc, at_s = P[s][bmask], P[s][cmask], M[s]
+            agree = 0 if tb & ~tc else base
+            for j in positions(tc) if agree else ():
+                agree = agree & at_s[j] if tb >> j & 1 else agree ^ agree & at_s[j]
+        dense, fine = D[ell], max(ell, n)
+        found = unions[ell] & ~agree & dense  # family A: the trace at s disagrees with b's
+        qualify, at_fine = unions[fine] & agree, M[fine]
+        if ell < n:  # family B: miss one of b's committed nodes, or cut one
+            found |= qualify & ~meets & dense
+            qualify, cut = qualify & meets, committed & P[n][cmask & ~bmask]
+        else:  # or cut a node the union meets
+            cut = P[ell][cmask & ~bmask]
+        shift = depth - fine
+        block = (1 << (1 << shift)) - 1
+        for t in positions(cut):
+            found |= (qualify & at_fine[t]) >> (cmask & bmask & block << (t << shift)) & dense
+        heights.append((ell, positions(found)))
+    return heights
 
 
 def iterate_cover(ps: Sequence[PCondition], k: int) -> list[PCondition]:
@@ -414,7 +501,20 @@ def cover_oracle(
     else:
         bits, steps = len(leaves), [1 << i for i in range(len(leaves))]
         slot = dict(zip(leaves, steps))
-        index = lambda mask: sum(map(slot.__getitem__, positions(mask)))
+        # a submask of c to its x: each byte of c's span that holds a leaf of
+        # c read through a table from the byte's value to those leaves' x bits
+        low = leaves[0] >> 3
+        width, reads = (leaves[-1] >> 3) - low + 1, []
+        for byte in dict.fromkeys(p >> 3 for p in leaves):
+            table = [0]
+            for p in range(byte << 3, byte + 1 << 3):
+                table += [x | slot.get(p, 0) for x in table]
+            reads.append((byte - low, table))
+
+        def index(mask: int) -> int:
+            data = (mask >> (low << 3)).to_bytes(width, "little")
+            return sum(table[data[i]] for i, table in reads)
+
         M = [{j: _meets(bits, bisect_left(leaves, j << depth - level),
                         bisect_left(leaves, j + 1 << depth - level))
               for j in positions(P[level][cmask])} for level in range(depth + 1)]

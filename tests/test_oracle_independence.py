@@ -1,5 +1,7 @@
 """Oracles never share code with the closed forms they audit, checked on the
-package call graph read from the source with `ast`.
+package call graph read from the source with `ast`, both ways: an oracle
+reaches none of the forms it audits, and no audited form reaches the oracle
+or a helper of its own.
 
 The graph's nodes are the package's top-level functions and classes (a
 class stands for all of its methods).  A node reaches every package node its
@@ -41,6 +43,7 @@ VALUES = {
     "perfectposet.PCondition",
 }
 TRUSTED = BIT_KERNEL | VALUES  # allowed to every oracle; not walked into
+SHARED_CHECKS = {"perfectposet._same_depth"}  # allowlisted, and the closed forms may reach them
 
 # (oracle, the closed forms it audits, what it may reach besides TRUSTED:
 # shared checks and the oracle's own helpers)
@@ -155,6 +158,16 @@ def test_oracles_reach_no_audited_closed_form(graph):
     for oracle, audited, _ in ORACLES:
         shared = reach(graph, oracle) & audited
         assert not shared, f"{oracle} reaches {sorted(shared)}"
+
+
+def test_no_closed_form_reaches_an_oracles_own_code(graph):
+    # the other direction: an audited closed form reaches neither its oracle
+    # nor a helper on the oracle's allowlist, save the shared checks
+    for oracle, audited, allowed in ORACLES:
+        own = ({oracle} | allowed) - SHARED_CHECKS
+        for form in audited:
+            shared = reach(graph, form) & own
+            assert not shared, f"{form} reaches {sorted(shared)}"
 
 
 def test_oracles_reach_only_their_allowlist(graph):
