@@ -467,13 +467,13 @@ def test_main_cover_output_pinned_over_depth4_sample():
 def test_main_cover_equals_the_restated_walk():
     # the bit algebra at depth <= 4 against the Gray walk it replaced: covers
     # of top, where family B's cuts carry most members, with b at heights
-    # 0, 2, 3 and 4, then seeded pairs at every k; depth-5 pairs still walk
+    # 0, 2, 3 and 4, then seeded pairs at every k
     rng = random.Random(2626)
     top = top_condition(4)
     calls = [(small_dense_condition(rng, 4, n, 16), top, 4) for n in (0, 2, 3, 4)]
     conds = enumerate_pprime(3)
     pairs = [(rng.choice(conds), rng.choice(conds)) for _ in range(20)]
-    pairs += depth4_pairs(rng, 20) + depth5_pairs(rng, 10)
+    pairs += depth4_pairs(rng, 20)
     calls += [(b, c, k) for b, c in pairs for k in range(c.depth + 1)]
     sizes = []
     for b, c, k in calls:
