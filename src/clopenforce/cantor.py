@@ -7,6 +7,7 @@ is integer bitwise arithmetic, all measures exact dyadic rationals.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -84,16 +85,33 @@ def cyl_mask(depth: int, level: int, index: int) -> int:
 
 
 def positions(mask: int) -> list[int]:
-    """Indices of the set bits of mask, ascending.
+    """Indices of the set bits of mask, ascending, in time linear in the mask.
 
-    Set bits are taken one at a time, each step a pass over the mask, while
-    the mask has under 64 bits or at most _WALK_BITS set; otherwise one pass
-    over its bytes reads them all, so no mask costs more than linear time.
-    The byte pass is the faster one beyond about 64 set bits at depths 12 to
-    20.
+    Three reads, by the mask's size and count of set bits:
+
+    - up to 64 bits, at most _FEW_BITS set, or at most _WALK_BITS set in at
+      most _SKIP_BYTES bytes: the set bits one at a time, each step a pass
+      over the mask;
+    - beyond _SKIP_BYTES bytes with fewer set bits than half its bytes: only
+      the nonzero bytes, found in C (`translate` marks them, a compiled search
+      lists them), so a zero byte costs no Python step;
+    - otherwise one pass over every byte.
+
+    A byte's set bits come from a table.  The byte pass is the faster one
+    beyond about 64 set bits at depths 12 to 20.  Skipping zero bytes costs
+    two passes in C and a match per nonzero byte: it is the faster read of a
+    sparse mask from about 1 KB and 6 set bits on (the 8 KB member ints of a
+    depth-4 `main_cover`), and the slower one below that or on a mask with a
+    set bit in every other byte.
     """
-    if mask >= 1 << 64 and mask.bit_count() > _WALK_BITS:
-        data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    if mask >= 1 << 64 and (
+        (count := mask.bit_count()) > _WALK_BITS or count > _FEW_BITS and mask >= _SKIP_FROM
+    ):
+        size = mask.bit_length() + 7 >> 3
+        data = mask.to_bytes(size, "little")
+        if size > _SKIP_BYTES and 2 * count < size:
+            nonzero = list(map(_START, _MARKED.finditer(data.translate(_MARK))))
+            return [8 * i + j for i in nonzero for j in _BYTE_BITS[data[i]]]
         return [8 * i + j for i, byte in enumerate(data) if byte for j in _BYTE_BITS[byte]]
     out = []
     while mask:
@@ -104,6 +122,11 @@ def positions(mask: int) -> list[int]:
 
 
 _WALK_BITS = 64
+_FEW_BITS = 6
+_SKIP_BYTES = 1024
+_SKIP_FROM = 1 << 8 * _SKIP_BYTES  # the least mask longer than _SKIP_BYTES bytes
+_MARK = b"\0" + b"\1" * 255  # a `translate` table: each nonzero byte to 1
+_MARKED, _START = re.compile(b"\1"), re.Match.start
 _BYTE_BITS = [()]  # the set bits of each byte value, built bit by bit
 for _bit in range(8):
     _BYTE_BITS += [bits + (_bit,) for bits in _BYTE_BITS]
@@ -311,10 +334,12 @@ class LevelSet:
 class ClopenSet:
     """A set of depth-level nodes as one mask, 0 <= mask < 2^(2^depth).
 
-    Every construction validates, in the one `__init__` frame: the depth
-    against `check_depth`, then the mask by its bit length, which builds no
-    int.  The fields are stored through their slots; equality, hash, repr,
-    pickling and the frozen assignment errors are the dataclass's.
+    Every construction validates the depth against `check_depth`, then the
+    mask by its bit length, which builds no int: a call in the one
+    `__init__` frame, a batch of ascending masks
+    (`perfectposet._clopen_sets`) once, on its first and last mask.  The
+    fields are stored through their slots; equality, hash, repr, pickling
+    and the frozen assignment errors are the dataclass's.
     """
 
     depth: int

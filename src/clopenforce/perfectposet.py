@@ -11,15 +11,17 @@ forms are tested against.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import groupby
+from itertools import compress, groupby, islice, repeat
 from operator import and_, itemgetter, or_
 from typing import Sequence
 
 from .cantor import (
     TABLE_DEPTH,
     ClopenSet,
+    check_depth,
     cyl_mask,
     densities,
     density_ok,
@@ -56,9 +58,11 @@ class PCondition:
     """A condition (B, n): a positive-measure clopen set and a commitment
     level 0 <= n <= B.depth.
 
-    Every construction validates n and B's measure in the one `__init__`
-    frame and stores the fields through their slots; B ran its own checks,
-    whose range check builds no int.
+    Every construction validates n and B's measure: a call in the one
+    `__init__` frame, a batch (`_conditions`, the members of a depth-4
+    `main_cover` and the elements of `enumerate_pprime(4)`) once for all its
+    members.  Either way the fields are stored through their slots; B ran
+    its own checks, whose range check builds no int.
 
     The conditions `main_cover` (and so `iterate_cover`) and
     `enumerate_pprime` (and so `DeskPoset`'s elements) hand out at depth <= 3
@@ -89,6 +93,42 @@ class PCondition:
 # slots=True builds a new class, so its slot setters are read after decoration
 _set_B = PCondition.__dict__["B"].__set__
 _set_n = PCondition.__dict__["n"].__set__
+_set_depth = ClopenSet.__dict__["depth"].__set__
+_set_mask = ClopenSet.__dict__["mask"].__set__
+
+
+def _clopen_sets(depth: int, masks: Sequence[int]) -> list[ClopenSet]:
+    """[ClopenSet(depth, mask) for mask in masks], for ascending masks: the
+    checks of `ClopenSet.__init__`, in its order and with its messages, made
+    once for the batch (the depth, then the first and last mask's range),
+    then the fields stored through the slot setters with no Python step per
+    set."""
+    if masks:
+        check_depth(depth)
+        if masks[0] < 0 or masks[-1].bit_length() > 1 << depth:
+            raise ValueError("mask out of range for depth")
+    sets = list(map(object.__new__, repeat(ClopenSet, len(masks))))
+    deque(map(_set_depth, sets, repeat(depth)), 0)
+    deque(map(_set_mask, sets, masks), 0)
+    return sets
+
+
+def _conditions(sets: Sequence[ClopenSet], n: int) -> list[PCondition]:
+    """[PCondition(B, n) for B in sets], for sets of one depth in ascending
+    mask order: the checks of `PCondition.__init__`, in its order and with
+    its messages, made once for the batch (n against the depth, then the
+    first set's measure), then the fields stored as `_clopen_sets` stores
+    them.  With `_clopen_sets` it builds the members of `main_cover` at depth
+    4 and the elements of `enumerate_pprime(4)`."""
+    if sets:
+        if not 0 <= n <= sets[0].depth:
+            raise ValueError(f"commitment level {n} out of range")
+        if sets[0].mask == 0:
+            raise ValueError("conditions need positive measure")
+    out = list(map(object.__new__, repeat(PCondition, len(sets))))
+    deque(map(_set_B, out, sets), 0)
+    deque(map(_set_n, out, repeat(n)), 0)
+    return out
 
 
 _SHARED_DEPTH = 3
@@ -238,10 +278,10 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
         raise DepthExhausted(f"height bound {k} exceeds depth {depth}")
     if depth <= TABLE_DEPTH:
         heights = _cover_by_bits(b, c, k)
-        # the path is picked once per call, so a depth-4 member costs no extra call
         if depth <= _SHARED_DEPTH:
             return [_shared(depth, ell, mask) for ell, masks in heights for mask in masks]
-        return [PCondition(ClopenSet(depth, mask), ell) for ell, masks in heights for mask in masks]
+        # depth 4: each height's members are one batch, checked once
+        return [q for ell, masks in heights for q in _conditions(_clopen_sets(depth, masks), ell)]
     n, m = b.n, c.n
     bmask, cmask = b.B.mask, c.B.mask
     # table reads skip the range check: every u is a submask of c's mask
@@ -603,8 +643,9 @@ def enumerate_pprime(depth: int, max_n: int | None = None) -> tuple[PCondition, 
         return tuple(_shared(depth, n, mask) for n in range(max_n + 1) for mask in masks
                      if D[n][mask])
     # one set per mask, shared by the mask's levels
-    sets = [ClopenSet(depth, mask) for mask in masks]
-    return tuple(PCondition(B, n) for n in range(max_n + 1) for B in sets if D[n][B.mask])
+    sets = _clopen_sets(depth, masks)
+    return tuple(q for n in range(max_n + 1)
+                 for q in _conditions(list(compress(sets, islice(D[n], 1, None))), n))
 
 
 class DeskPoset(FinitePoset):

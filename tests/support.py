@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from clopenforce import perfectposet
 from clopenforce.cantor import ClopenSet, LevelSet, density_ok
 from clopenforce.coverlemmas import WeightFamily
 from clopenforce.nullcover import BlockTree, IntervalPartition
@@ -257,17 +258,24 @@ def assert_value_errors(cases) -> None:
 
 @contextlib.contextmanager
 def counting_builds():
-    """While the block runs, count each `PCondition.__init__` call, before it
-    validates, in the yielded Counter keyed by B.depth."""
+    """While the block runs, count the conditions built, before they are
+    validated, in the yielded Counter keyed by depth: one per
+    `PCondition.__init__` call and one per member of a batch built by
+    `perfectposet._conditions`."""
     builds = Counter()
-    init = PCondition.__init__
+    init, batch = PCondition.__init__, perfectposet._conditions
 
     def counted(self, B, n):
         builds[B.depth] += 1
         init(self, B, n)
 
-    PCondition.__init__ = counted
+    def counted_batch(sets, n):
+        if sets:
+            builds[sets[0].depth] += len(sets)
+        return batch(sets, n)
+
+    PCondition.__init__, perfectposet._conditions = counted, counted_batch
     try:
         yield builds
     finally:
-        PCondition.__init__ = init
+        PCondition.__init__, perfectposet._conditions = init, batch

@@ -296,6 +296,14 @@ def test_range_checks_accept_exactly_the_masks_below_2_to_the_2_to_the_d():
         ])
 
 
+def sparse_mask(size: int, bits) -> int:
+    """The mask of `size` bits with the given set bits, built in one pass."""
+    data = bytearray((size + 7) // 8)
+    for i in bits:
+        data[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(data, "little")
+
+
 def test_positions_matches_bin():
     # 0, single bits, seeded masks of 63 to 65 bits (where the bit walk hands
     # over to the byte pass) and of any density, and full masks, to depth 20
@@ -308,6 +316,27 @@ def test_positions_matches_bin():
         for count in (63, 64, 65):
             if count < size:
                 masks.append(sum(1 << i for i in rng.sample(range(size), count)))
+    # 2^16- and 2^20-bit masks, where zero bytes are skipped when sparse:
+    # sparse (either side of 6 set bits, the walk's limit there), set in the
+    # first or last byte only, runs far apart, and either side of the cutoff
+    # in density (a set bit per two bytes)
+    for size in (1 << 16, 1 << 20):
+        nbytes = size // 8
+        masks += [sparse_mask(size, rng.sample(range(size), count)) for count in (6, 7, 64, 65, 300)]
+        masks += [1 | 1 << size - 1, 0xFF | 1 << size - 1, 1 << size - 1 | 0xA5 << size - 16]
+        masks += [0xFF << size - 8, 0xFF | 0xFF << size - 8]
+        runs = [i for start in range(0, size, size // 4) for i in range(start, start + 40)]
+        masks.append(sparse_mask(size, runs) | 1 << size - 1)
+        for count in (nbytes // 2 - 1, nbytes // 2):
+            mask = sparse_mask(size, rng.sample(range(size - 1), count - 1)) | 1 << size - 1
+            assert mask.bit_count() == count
+            masks.append(mask)
+    # either side of the cutoff in size (1 KB): 1,023 to 1,026 bytes, sparse and dense
+    for nbytes in (1023, 1024, 1025, 1026):
+        size = 8 * nbytes
+        top = 1 << size - 1
+        masks += [top | 1, top | rng.getrandbits(64), top | rng.getrandbits(size - 1)]
+        masks += [top | sparse_mask(size, rng.sample(range(size - 1), count)) for count in (63, 200)]
     for mask in masks:
         want = [i for i, ch in enumerate(bin(mask)[:1:-1]) if ch == "1"]
         assert positions(mask) == want
@@ -320,6 +349,15 @@ def test_positions_is_linear_in_the_mask():
     assert len(positions(cyl_mask(20, 1, 0))) == 1 << 19
     assert positions(cyl_mask(20, 1, 1))[0] == 1 << 19
     assert time.perf_counter() - start < 1
+
+
+def test_positions_skips_zero_bytes_in_linear_time():
+    # 30,000 set bits among 2^20: a pass over the mask per set bit took 1.5 s
+    bits = sorted(random.Random(13).sample(range(1 << 20), 30_000))
+    mask = sparse_mask(1 << 20, bits)
+    start = time.perf_counter()
+    assert positions(mask) == bits
+    assert time.perf_counter() - start < 0.5
 
 
 def test_lift_mask_matches_string_restatement():

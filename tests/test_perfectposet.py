@@ -130,6 +130,50 @@ def test_constructor_errors_are_unchanged():
     assert dataclasses.replace(PCondition(B, 1), n=2) == PCondition(B, 2)
 
 
+def test_batch_builds_equal_the_constructors():
+    # main_cover's members at depth 4 and enumerate_pprime(4)'s elements are
+    # built in batches whose checks run once: each batch is the list of
+    # per-member constructions, value for value and error for error
+    sets, conditions = perfectposet._clopen_sets, perfectposet._conditions
+
+    def batch(depth, n, masks):
+        return conditions(sets(depth, masks), n)
+
+    def per_member(depth, n, masks):
+        return [PCondition(ClopenSet(depth, mask), n) for mask in masks]
+
+    rng = random.Random(27)
+    for depth in range(TABLE_DEPTH + 1):
+        size = 1 << (1 << depth)
+        for masks in ([], [size - 1], sorted(rng.sample(range(1, size), min(size - 1, 40)))):
+            for n in range(depth + 1):
+                built, want = batch(depth, n, masks), per_member(depth, n, masks)
+                assert built == want
+                assert [(type(q), type(q.B)) for q in built] == [(PCondition, ClopenSet)] * len(want)
+                assert list(map(hash, built)) == list(map(hash, want))
+                assert list(map(repr, built)) == list(map(repr, want))
+                assert list(map(str, built)) == list(map(str, want))
+                assert pickle.loads(pickle.dumps(built)) == want
+    q = batch(4, 2, [0b1011, 0xFFFF])[1]
+    for value in (q, q.B):
+        assert not hasattr(value, "__dict__")
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, 0)
+    # a bad depth, n, zero mask or out-of-range mask: the constructors' error
+    cases = [
+        (-1, 0, [1]), (MAX_DEPTH + 1, 0, [1]), (3, 4, [1, 2]), (3, -1, [1, 2]),
+        (3, 1, [0, 1, 2]), (3, 1, [1, 2, 1 << 8]), (3, 1, [-1, 1]), (4, 0, [1 << 16]),
+    ]
+    for depth, n, masks in cases:
+        with pytest.raises(ValueError) as want:
+            per_member(depth, n, masks)
+        with pytest.raises(ValueError) as raised:
+            batch(depth, n, masks)
+        assert type(raised.value) is type(want.value) is ValueError
+        assert str(raised.value) == str(want.value), (depth, n, masks)
+
+
 def test_every_depth_check_names_the_mismatch():
     shallow, deep = cond(["0"], 2, 1), cond(["0"], 3, 1)
     top = top_condition(3)
