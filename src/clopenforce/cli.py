@@ -68,13 +68,32 @@ def _int_map(obj: dict, key: str) -> dict:
     return {k: int(v) for k, v in value.items()}
 
 
+# A halving walks the subsets of Z up to half its size in (size, value)
+# order and tests each against every weighted set.  The worst family built
+# for these ceilings: two disjoint 11-node blocks of mass 1 (k = 11) and 62
+# sets of mass 1/10^6 that each hold the first block and one node of the
+# second.  At k' = 4 the search walks 284,912 candidates to its 8-node
+# winner: `cover halve` takes 1.3 s cold (2-core Xeon VM, Python 3.11),
+# 2.5 s with a 12-node second block and 2.9 s with 94 light sets.  Two
+# 12-node blocks (k = 12, k' = 5) walk 2.6 million candidates.
+MAX_HIT_NODES = 22
+MAX_WEIGHTED_SETS = 64
+
+
 def _weight_family_from_json(obj: dict) -> coverlemmas.WeightFamily:
+    """The family, refused before it is halved when Z has more than
+    MAX_HIT_NODES nodes or it weighs more than MAX_WEIGHTED_SETS sets."""
     n = int(obj["n"])
     z = LevelSet.from_nodes(n, obj["Z"])
     weights = tuple(
         (LevelSet.from_nodes(n, w["T"]).mask, rational(w["a"]))
         for w in obj["weights"]
     )
+    if len(z) > MAX_HIT_NODES:
+        raise ValueError(f"{len(z)} hit-set nodes: halving stops at {MAX_HIT_NODES}")
+    if len(weights) > MAX_WEIGHTED_SETS:
+        raise ValueError(f"{len(weights)} weighted sets: halving stops at "
+                         f"{MAX_WEIGHTED_SETS}")
     return coverlemmas.WeightFamily(n, int(obj["k"]), z, weights)
 
 
@@ -539,10 +558,12 @@ def _ncov_budget(args) -> int:
     return 0 if report.ok else 1
 
 
-# inclusion-exclusion over k indices of a cover reaching `depth` makes 2^k
-# terms, each up to k ANDs of 2^depth-bit masks, and a term costs no less
-# than at depth 16: 16 indices at depth 2 or 16, 12 at depth 20 and 8 at
-# depth 24 take 0.3 to 1.1 s, and each index more doubles that
+# inclusion-exclusion over k indices of a cover reaching `depth` forms up to
+# 2^k terms, each one AND of 2^depth-bit masks, and a term costs no less
+# than at depth 16.  The terms below an empty intersection are skipped, but
+# a cover of full sets has none: then 16 indices at depth 16, 12 at depth 20
+# and 8 at depth 24 take up to 0.4, 0.5 and 1.7 s, and each index more
+# doubles that
 MAX_MEASURE_WORK = 32  # log2 of 2^k * 2^max(depth, 16)
 
 

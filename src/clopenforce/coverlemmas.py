@@ -11,6 +11,8 @@ are reproducible across runs.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -44,6 +46,12 @@ def _gosper(width: int, size: int):
 
 @dataclass(frozen=True)
 class WeightFamily:
+    """Masses on subsets T of level n, each T meeting Z in >= k nodes.
+
+    A weight is an int or a `Fraction` (any `numbers.Rational`), never a
+    float: the halving search reads each one's numerator and denominator.
+    """
+
     n: int
     k: int
     Z: LevelSet
@@ -63,6 +71,8 @@ class WeightFamily:
             if T in seen:
                 raise ValueError("duplicate weighted set")
             seen.add(T)
+            if not isinstance(a, numbers.Rational):
+                raise ValueError(f"weight {a!r} is not an int or Fraction")
             if a < 0:
                 raise ValueError("weights must be nonnegative")
             if (T & self.Z.mask).bit_count() < self.k:
@@ -79,6 +89,11 @@ def hit_weight(W: WeightFamily, zmask: int, k_prime: int) -> Fraction:
     )
 
 
+def _packed(mask: int, pos: list[int]) -> int:
+    """mask's trace on the nodes pos lists, bit i for the node pos[i]."""
+    return sum(1 << i for i, p in enumerate(pos) if mask >> p & 1)
+
+
 def halve_once(W: WeightFamily, k_prime: int) -> LevelSet:
     """Smallest (then numerically least) Z' of size <= |Z|/2 keeping mass
     (1 - eps(k, k')) * total on sets still hit k' deep.
@@ -88,25 +103,35 @@ def halve_once(W: WeightFamily, k_prime: int) -> LevelSet:
     starts at size k' when the target is positive (and at size 0, where
     the empty set wins, otherwise); the sizes it skips hold no winner, so
     the result is the same as a search from size 0.
+
+    The search is in integers.  Every weight is put over one denominator
+    (the `math.lcm` of theirs), and with eps = p/q a candidate wins when
+    its integer hit mass times q reaches (q - p) times the integer total.
+    A candidate is a mask over Z's positions (bit i for Z's i-th node),
+    and so is each weighted set's trace on Z, so a candidate's hits are
+    popcounts of one AND each; only the winner is mapped back to nodes.
     """
     if not 1 <= k_prime <= W.k:
         raise ValueError("need 1 <= k' <= k")
-    total = W.total()
-    target = (1 - epsilon(W.k, k_prime)) * total
+    eps = epsilon(W.k, k_prime)
+    p, q = eps.numerator, eps.denominator
+    denom = math.lcm(*(a.denominator for _, a in W.weights))
     pos = positions(W.Z.mask)
-    for size in range(k_prime if target > 0 else 0, len(pos) // 2 + 1):
-        for packed in _gosper(len(pos), size):
-            zp = 0
-            y = packed
-            while y:
-                low = y & -y
-                zp |= 1 << pos[low.bit_length() - 1]
-                y ^= low
-            if hit_weight(W, zp, k_prime) >= target:
-                return LevelSet(W.n, zp)
-    raise LemmaViolated(
-        f"no half-size subset of Z keeps {1 - epsilon(W.k, k_prime)} of the mass"
-    )
+    traces = [
+        (_packed(T, pos), a.numerator * (denom // a.denominator))
+        for T, a in W.weights
+        if a  # a zero mass adds nothing to any candidate
+    ]
+    need = (q - p) * sum(c for _, c in traces)
+    for size in range(k_prime if need > 0 else 0, len(pos) // 2 + 1):
+        for cand in _gosper(len(pos), size):
+            hit = 0
+            for t, c in traces:
+                if (t & cand).bit_count() >= k_prime:
+                    hit += c
+            if q * hit >= need:
+                return LevelSet(W.n, sum(1 << pos[i] for i in positions(cand)))
+    raise LemmaViolated(f"no half-size subset of Z keeps {1 - eps} of the mass")
 
 
 def split_goodness(Z: LevelSet, T: int | LevelSet, k_prime: int) -> Fraction:

@@ -66,14 +66,15 @@ class BudgetReport:
 
 def budget(cover: LevelCover) -> BudgetReport:
     """Exact tail sum of |Z_m| / 2^(n_m), plus the per-index size checks
-    |Z_m| <= 2^(n_m - m) that make the sum dominated by a geometric tail."""
-    total = Fraction(0)
-    ok = []
-    for m, (n, z) in enumerate(cover.entries):
-        size = z.mask.bit_count()
-        total += Fraction(size, 1 << n)
-        ok.append(size << m <= 1 << n)
-    return BudgetReport(total, tuple(ok))
+    |Z_m| <= 2^(n_m - m) that make the sum dominated by a geometric tail.
+
+    The sum is taken in integers over 2^(deepest level) and made one
+    `Fraction` at the end."""
+    top = max((n for n, _ in cover.entries), default=0)
+    sizes = [(n, z.mask.bit_count()) for n, z in cover.entries]
+    total = sum(size << top - n for n, size in sizes)
+    ok = tuple(size << m <= 1 << n for m, (n, size) in enumerate(sizes))
+    return BudgetReport(Fraction(total, 1 << top), ok)
 
 
 def union_scope(cover: LevelCover, S: Iterable[int]) -> tuple[list[int], int]:
@@ -88,7 +89,13 @@ def union_scope(cover: LevelCover, S: Iterable[int]) -> tuple[list[int], int]:
 
 def union_measure(cover: LevelCover, S: Iterable[int]) -> Fraction:
     """Measure of "hit Z_m for some m in S", by inclusion-exclusion over
-    the lifted cylinder sets at the deepest participating level."""
+    the lifted cylinder sets at the deepest participating level.
+
+    The index subsets are walked depth-first: each term is its parent's
+    intersection ANDed with one more lifted set, and the signed leaf counts
+    are summed as ints, made one `Fraction` at the end.  An empty
+    intersection empties every term below it, so its subtree is skipped;
+    a null cover's small sets make most deep terms empty."""
     ms, depth = union_scope(cover, S)
     if not ms:
         return Fraction(0)
@@ -97,15 +104,18 @@ def union_measure(cover: LevelCover, S: Iterable[int]) -> Fraction:
     lifted = [
         lift_mask(cover.entries[m][1].mask, cover.entries[m][0], depth) for m in ms
     ]
-    total = Fraction(0)
-    for bits in range(1, 1 << len(ms)):
-        inter = (1 << (1 << depth)) - 1
-        for j in range(len(ms)):
-            if bits >> j & 1:
-                inter &= lifted[j]
-        term = Fraction(inter.bit_count(), 1 << depth)
-        total += term if bits.bit_count() % 2 else -term
-    return total
+
+    def terms(inter: int, start: int) -> int:
+        """Signed leaf counts of inter ANDed with each nonempty set of the
+        lifted masks from start on, + for odd sizes, - for even."""
+        total = 0
+        for j in range(start, len(lifted)):
+            term = inter & lifted[j]
+            if term:
+                total += term.bit_count() - terms(term, j + 1)
+        return total
+
+    return Fraction(terms(-1, 0), 1 << depth)  # -1: every bit set
 
 
 def _segments(strings: Iterable[str], lo: int, hi: int) -> set[int]:
@@ -137,13 +147,12 @@ class IntervalPartition:
             _segments(J, lo, hi)
 
     def summability(self) -> Fraction:
-        return sum(
-            (
-                Fraction(len(J), 1 << (hi - lo))
-                for (lo, hi), J in zip(self.intervals, self.traps)
-            ),
-            Fraction(0),
+        """Sum of |J| / 2^(hi - lo), in integers over 2^(widest interval)."""
+        top = max((hi - lo for lo, hi in self.intervals), default=0)
+        total = sum(
+            len(J) << top - (hi - lo) for (lo, hi), J in zip(self.intervals, self.traps)
         )
+        return Fraction(total, 1 << top)
 
     def interval_index(self, x: int) -> int | None:
         for idx, (lo, hi) in enumerate(self.intervals):

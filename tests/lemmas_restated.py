@@ -4,10 +4,11 @@ references for `coverlemmas.halve_once` and `diagonal.verify_chain`.
 `halve_once` here walks every subset of Z from size 0 upwards, in the
 same (size, value) order, and sums each candidate's hit mass through
 `hit_weight`; the library's search skips the sizes below k' when the
-target is positive.  `verify_chain` here compares quotients and sums of
-`Fraction` measures; the library's compares leaf counts.  Both must give
-the same `LevelSet` (or raise `LemmaViolated` with the same message) and
-the same `ChainReport`.
+target is positive and sums int masses over one denominator, each
+candidate a mask over Z's positions.  `verify_chain` here compares
+quotients and sums of `Fraction` measures; the library's compares leaf
+counts.  Both must give the same `LevelSet` (or raise `LemmaViolated` with
+the same message) and the same `ChainReport`.
 """
 
 from __future__ import annotations

@@ -696,12 +696,24 @@ def block_tree_instance(blocks: int) -> str:
                        "partition": {"intervals": units, "J": [[]] * blocks}})
 
 
+def halving_family(nodes: int, sets: int) -> str:
+    """A `cover halve|shrink` payload at level 5: Z the first `nodes` nodes,
+    k = 2 and `sets` unit masses, each on Z plus its own choice of the nodes
+    outside Z.  At k' = 1 the first node alone keeps half the mass."""
+    width = 32
+    z = [format(i, "05b") for i in range(nodes)]
+    weights = [{"T": z + [format(nodes + j, "05b") for j in range(width - nodes) if i >> j & 1],
+                "a": "1"} for i in range(sets)]
+    return json.dumps({"n": 5, "k": 2, "Z": z, "weights": weights})
+
+
 def test_oversized_depths_exit_2(capsys):
     # a depth or level above cantor.MAX_DEPTH, a count above its ceiling, an
-    # eps below its floor, a subset table over MAX_TABLE_NODES nodes or a
-    # block tree over MAX_TREE_BLOCKS blocks is a usage error, raised before
-    # any mask of 2^depth bits or any table is built, any round run or any
-    # branch walked
+    # eps below its floor, a subset table over MAX_TABLE_NODES nodes, a
+    # block tree over MAX_TREE_BLOCKS blocks or a weight family over
+    # MAX_HIT_NODES or MAX_WEIGHTED_SETS is a usage error, raised before
+    # any mask of 2^depth bits or any table is built, any round run, any
+    # branch walked or any subset of Z tried
     huge = str(HUGE)
     for argv in (
         ("eps", "--k", str(cli.MAX_K + 1), "--kprime", "1"),
@@ -740,6 +752,12 @@ def test_oversized_depths_exit_2(capsys):
         ("diag", "build", "--m", "3", "--granularity", "1", "--v", "1", "--depth", "15"),
         ("diag", "build", "--m", "5", "--granularity", "2", "--v", "3", "--depth", "15"),
         ("diag", "build", "--m", "3", "--granularity", "3", "--v", "3", "--depth", "15"),
+        # a halving walks the subsets of Z up to half its size
+        ("cover", "halve", "--json", halving_family(cli.MAX_HIT_NODES + 1, 1)),
+        ("cover", "halve", "--json",
+         halving_family(cli.MAX_HIT_NODES, cli.MAX_WEIGHTED_SETS + 1)),
+        ("cover", "shrink", "--eps", "1/2", "--m", "1", "--json",
+         halving_family(32, 1)),
     ):
         code, out = run(capsys, *argv)
         assert code == 2 and out.startswith("usage-error:"), argv
@@ -770,6 +788,9 @@ def test_oversized_depths_exit_2(capsys):
          '"uncovered":[]}\n'),
         (("soft", "product", "--m", "1", "--json", product_pairs(cli.MAX_PAIRS)),
          '{"cover":[],"verified":true}\n'),
+        (("cover", "halve", "--json",
+          halving_family(cli.MAX_HIT_NODES, cli.MAX_WEIGHTED_SETS)),
+         '{"Z":["00000"],"level":5}\n'),
         (("ncov", "avoid", "--json", block_tree_instance(cli.MAX_TREE_BLOCKS)),
          f'{{"branches":{1 << cli.MAX_TREE_BLOCKS},"counterexamples":[],'
          '"misaligned":[],"ok":true,"trap_hits":0}\n'),

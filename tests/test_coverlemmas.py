@@ -281,3 +281,82 @@ def test_shrink_matches_restated_halving(monkeypatch):
     fast = [shrink(*case) for case in cases]
     monkeypatch.setattr(coverlemmas, "halve_once", lemmas_restated.halve_once)
     assert fast == [shrink(*case) for case in cases]
+
+
+# masses with large coprime denominators, a zero, ints and a Fraction above 1
+MASSES = (0, 1, 3, Fraction(1, 7919), Fraction(1, 7907), Fraction(5, 2))
+
+
+def small_families():
+    """(family, k') for every hit set at levels 0 to 2, every k and k', and
+    every family of at most four weighted sets meeting Z in >= k nodes: a
+    single set takes each of MASSES, more sets cycle through them.  k' = k
+    >= 2 gives eps(k, k') > 1, a negative target."""
+    for n in range(3):
+        width = 1 << n
+        for zmask in range(1 << width):
+            z = LevelSet(n, zmask)
+            for k in range(1, width + 1):
+                sets = [t for t in range(1 << width) if (t & zmask).bit_count() >= k]
+                for r in range(5):
+                    for i, combo in enumerate(itertools.combinations(sets, r)):
+                        for shift in range(len(MASSES) if r == 1 else 1):
+                            fam = WeightFamily(n, k, z, tuple(
+                                (t, MASSES[(i + shift + p) % len(MASSES)])
+                                for p, t in enumerate(combo)))
+                            for kp in range(1, k + 1):
+                                yield fam, kp
+
+
+def test_halve_once_matches_restated_on_every_small_family():
+    count = 0
+    for fam, kp in small_families():
+        _same_halving(fam, kp)
+        count += 1
+    assert count == 17_954
+
+
+def test_halve_once_matches_restated_on_coprime_masses():
+    # seven sets over four large primes: one lcm of about 10^15 denominates
+    # every mass
+    z = full_level(3)
+    masses = (Fraction(1, 7919), Fraction(1, 7907), Fraction(2, 7901), Fraction(3, 7883),
+              5, 0, Fraction(7919, 7907))
+    sets = (0b00000111, 0b00111000, 0b11100000, 0b10010010, 0b01001001, 0b11111111,
+            0b00101101)
+    for k in (1, 2, 3):
+        fam = WeightFamily(3, k, z, tuple(zip(sets, masses)))
+        for kp in range(1, k + 1):
+            _same_halving(fam, kp)
+
+
+def _shrinking(fam, eps, m):
+    try:
+        return shrink(fam, eps, m)
+    except (LemmaViolated, InsufficientK) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_shrink_matches_restated_on_small_full_levels(monkeypatch):
+    # shrink's one round at level 2 from the full level, k >= 2 (eps 1/2)
+    # or k >= 3 (eps 1/3); the families below k_m fail alike
+    cases = [(fam, eps, 1) for fam, kp in small_families()
+             if kp == 1 and fam.n == 2 and fam.Z.mask == 0b1111
+             for eps in (Fraction(1, 2), Fraction(1, 3))]
+    fast = [_shrinking(*case) for case in cases]
+    monkeypatch.setattr(coverlemmas, "halve_once", lemmas_restated.halve_once)
+    assert fast == [_shrinking(*case) for case in cases]
+    assert any(isinstance(out, str) for out in fast)
+    assert any(isinstance(out, LevelSet) for out in fast)
+
+
+def test_weight_family_rejects_non_rational_weights():
+    z = full_level(1)
+    assert_value_errors([
+        (lambda: WeightFamily(1, 1, z, ((0b11, 0.5),)), "weight 0.5 is not an int or Fraction"),
+        (lambda: WeightFamily(1, 1, z, ((0b11, "1/2"),)), "weight '1/2' is not an int or Fraction"),
+    ])
+    # ints and Fractions are accepted and halve alike
+    ints = WeightFamily(1, 1, z, ((0b01, 2), (0b11, 1)))
+    fractions = WeightFamily(1, 1, z, ((0b01, Fraction(2)), (0b11, Fraction(1))))
+    assert halve_once(ints, 1) == halve_once(fractions, 1)

@@ -112,6 +112,84 @@ def test_union_measure_matches_direct_union():
             assert union_measure(cover, S[:-1]) <= union_measure(cover, S)
 
 
+def sparse_cover(rng, count, depth, nodes_max):
+    """count entries after the empty head at distinct levels up to depth
+    (the last at depth), each of at most nodes_max random nodes: most of
+    their lifted intersections are empty."""
+    levels = sorted(rng.sample(range(1, depth), count - 1)) + [depth]
+    entries = [(0, LevelSet(0, 0))]
+    for n in levels:
+        mask = 0
+        for _ in range(rng.randint(0, nodes_max)):
+            mask |= 1 << rng.randrange(1 << n)
+        entries.append((n, LevelSet(n, mask)))
+    return LevelCover(tuple(entries))
+
+
+def test_union_measure_matches_direct_union_on_sparse_covers():
+    # 8 to 16 indices up to depth 16, where an empty intersection prunes
+    # the subtree of terms below it
+    rng = random.Random(2828)
+    for _ in range(60):
+        count = rng.randint(8, 16)
+        depth = rng.randint(count, 16)
+        cover = sparse_cover(rng, count, depth, rng.choice((1, 2, 4, 8)))
+        S = [m for m in range(1, count + 1) if rng.random() < 0.9]
+        top = max((cover.entries[m][0] for m in S), default=0)
+        direct = 0
+        for m in S:
+            n, z = cover.entries[m]
+            direct |= lift_mask(z.mask, n, top)
+        assert union_measure(cover, S) == Fraction(direct.bit_count(), 1 << top)
+        # budget's integer sum against one Fraction per entry
+        assert budget(cover).total == sum(
+            (Fraction(len(z), 1 << n) for n, z in cover.entries), Fraction(0))
+
+
+def test_summability_matches_a_fraction_per_interval():
+    rng = random.Random(2829)
+    for _ in range(100):
+        part = random_trap_instance(rng, rng.randint(2, 12))[1]
+        assert part.summability() == sum(
+            (Fraction(len(J), 1 << hi - lo) for (lo, hi), J in zip(part.intervals, part.traps)),
+            Fraction(0))
+
+
+def test_sparse_union_measure_runs_in_time():
+    # 16 indices at depth 16, each set 5 % of its level: forming all 2^16
+    # terms from the full masks took 0.6 s on a 2-core VM; the walk stops
+    # below the first empty intersection.  Then 20 one-node sets with
+    # disjoint cylinders ("1", "01", "001", ...): every pair is empty, so
+    # 210 ANDs stand for the 2^20 terms
+    code = (
+        "import random, time\n"
+        "from clopenforce.cantor import LevelSet\n"
+        "from clopenforce.nullcover import LevelCover, union_measure\n"
+        "rng = random.Random(16)\n"
+        "entries = [(0, LevelSet(0, 0))]\n"
+        "for n in range(1, 17):\n"
+        "    mask = sum(1 << i for i in range(1 << n) if rng.random() < 0.05)\n"
+        "    entries.append((n, LevelSet(n, mask)))\n"
+        "chain = [(0, LevelSet(0, 0))]\n"
+        "chain += [(n, LevelSet.from_nodes(n, ['0' * (n - 1) + '1'])) for n in range(1, 21)]\n"
+        "for cover, S in ((LevelCover(tuple(entries)), range(1, 17)),\n"
+        "                 (LevelCover(tuple(chain)), range(1, 21))):\n"
+        "    start = time.perf_counter()\n"
+        "    value = union_measure(cover, S)\n"
+        "    print(value, time.perf_counter() - start)\n"
+    )
+    src = str(Path(nullcover.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    (sparse, sparse_s), (chain, chain_s) = (line.split() for line in done.stdout.splitlines())
+    assert 0 < Fraction(sparse) < 1
+    assert Fraction(chain) == 1 - Fraction(1, 1 << 20)
+    assert float(sparse_s) < 0.1 and float(chain_s) < 0.1
+
+
 def part(intervals, traps=None):
     traps = traps or [frozenset() for _ in intervals]
     return IntervalPartition(tuple(intervals), tuple(frozenset(t) for t in traps))
