@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import sys
@@ -68,32 +69,13 @@ def _int_map(obj: dict, key: str) -> dict:
     return {k: int(v) for k, v in value.items()}
 
 
-# A halving walks the subsets of Z up to half its size in (size, value)
-# order and tests each against every weighted set.  The worst family built
-# for these ceilings: two disjoint 11-node blocks of mass 1 (k = 11) and 62
-# sets of mass 1/10^6 that each hold the first block and one node of the
-# second.  At k' = 4 the search walks 284,912 candidates to its 8-node
-# winner: `cover halve` takes 1.3 s cold (2-core Xeon VM, Python 3.11),
-# 2.5 s with a 12-node second block and 2.9 s with 94 light sets.  Two
-# 12-node blocks (k = 12, k' = 5) walk 2.6 million candidates.
-MAX_HIT_NODES = 22
-MAX_WEIGHTED_SETS = 64
-
-
 def _weight_family_from_json(obj: dict) -> coverlemmas.WeightFamily:
-    """The family, refused before it is halved when Z has more than
-    MAX_HIT_NODES nodes or it weighs more than MAX_WEIGHTED_SETS sets."""
     n = int(obj["n"])
     z = LevelSet.from_nodes(n, obj["Z"])
     weights = tuple(
         (LevelSet.from_nodes(n, w["T"]).mask, rational(w["a"]))
         for w in obj["weights"]
     )
-    if len(z) > MAX_HIT_NODES:
-        raise ValueError(f"{len(z)} hit-set nodes: halving stops at {MAX_HIT_NODES}")
-    if len(weights) > MAX_WEIGHTED_SETS:
-        raise ValueError(f"{len(weights)} weighted sets: halving stops at "
-                         f"{MAX_WEIGHTED_SETS}")
     return coverlemmas.WeightFamily(n, int(obj["k"]), z, weights)
 
 
@@ -336,8 +318,39 @@ def _pforce_cover(args) -> int:
     return 0
 
 
-MAX_SAMPLES = 40_000  # 1.2 s at --depth 3, 2 s at --depth 4
-MAX_SAMPLE_DEPTH = 5  # --samples 40000: 2.1 s at --depth 5, 6.3 s at 12
+MAX_SAMPLES = 40_000  # 0.28 s at --depth 3, 0.34 s at --depth 4
+MAX_SAMPLE_DEPTH = 5  # --samples 40000: 0.87 s at --depth 5, about 5 s at 12
+
+
+def _drawn_conditions(rng: random.Random, depth: int):
+    """Endless dense conditions at `depth`, each from one random word.
+
+    The law: the leaf count is uniform on 1..6; the leaves are independent
+    and uniform on the 2^depth leaves (so they may repeat); the level is
+    uniform on 0..depth; a candidate is kept when it is dense.  The word's
+    low field picks the leaf count and the level together, and a word whose
+    field is out of range is redrawn whole; the fields of `depth` bits above
+    it are the leaves, one per leaf of the count.
+    """
+    levels = depth + 1
+    picks = 6 * levels  # (leaf count, level) pairs
+    width = (picks - 1).bit_length()
+    low, leaf = (1 << width) - 1, (1 << depth) - 1
+    bits = width + 6 * depth
+    dense = cantor.densities(depth)
+    while True:
+        word = rng.getrandbits(bits)
+        pick = word & low
+        if pick >= picks:
+            continue
+        count, n = divmod(pick, levels)
+        word >>= width
+        mask = 1 << (word & leaf)
+        for _ in range(count):
+            word >>= depth
+            mask |= 1 << (word & leaf)
+        if dense[n][mask]:
+            yield perfectposet.PCondition(ClopenSet(depth, mask), n)
 
 
 @_verb("pforce oracle-check", perfectposet.cover_oracle, perfectposet.compat_oracle,
@@ -346,21 +359,13 @@ MAX_SAMPLE_DEPTH = 5  # --samples 40000: 2.1 s at --depth 5, 6.3 s at 12
               _flag("--depth", ceiling=MAX_SAMPLE_DEPTH, default=3)))
 def _pforce_oracle_check(args) -> int:
     if args.samples:
-        rng = random.Random(args.seed)
-        depth = args.depth
-        disagreements = 0
-        for _ in range(args.samples):
-            conds = []
-            while len(conds) < 2:
-                mask = 0
-                for _ in range(rng.randint(1, 6)):
-                    mask |= 1 << rng.randrange(1 << depth)
-                n = rng.randint(0, depth)
-                if cantor.dense_mask(mask, depth, n):
-                    conds.append(perfectposet.PCondition(ClopenSet(depth, mask), n))
-            a, b = conds
-            if perfectposet.p_compatible(a, b) != perfectposet.compat_oracle(a, b):
-                disagreements += 1
+        if args.b or args.against is not None:
+            raise ValueError("--samples draws its own pairs: drop -b and --against")
+        draws = _drawn_conditions(random.Random(args.seed), args.depth)
+        disagreements = sum(
+            perfectposet.p_compatible(a, b) != perfectposet.compat_oracle(a, b)
+            for a, b in itertools.islice(zip(draws, draws), args.samples)
+        )
         _emit_json({"samples": args.samples, "disagreements": disagreements})
         return 0 if disagreements == 0 else 1
     if not args.b or args.against is None:

@@ -1,6 +1,9 @@
 import argparse
+import collections
 import hashlib
+import itertools
 import json
+import math
 import os
 import random
 import resource
@@ -9,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from clopenforce import cli, nullcover, perfectposet
+from clopenforce import cantor, cli, coverlemmas, nullcover, perfectposet
 from clopenforce.cli import VERB_TABLE, dispatch
 from clopenforce.errors import ConstructionError
 from clopenforce.perfectposet import MAX_TABLE_NODES
@@ -213,6 +216,10 @@ def test_usage_errors(capsys):
         ("diag", "verify", "--v", "0", "--json", json.dumps(CHAIN_D2)),
         ("pforce", "oracle-check", "-b", B, "-b", B, "--against", TOP),
         ("soft", "cover", "--json", json.dumps(POSET), "--ps", "a", "--strong"),
+        # --samples draws its own pairs, so a given pair is not ignored
+        ("pforce", "oracle-check", "--samples", "5", "-b", B, "--against", TOP,
+         "--k", "2"),
+        ("pforce", "oracle-check", "--samples", "5", "-b", B),
     ):
         code, out = run(capsys, *argv)
         assert code == 2 and out.startswith("usage-error:"), argv
@@ -445,6 +452,61 @@ def test_soft_verbs(capsys):
     code, out = run(capsys, "soft", "product", "--json", json.dumps(product),
                     "--m", "1")
     assert code == 0 and json.loads(out)["verified"] is True
+
+
+def onto_maps(k: int, j: int) -> int:
+    """Maps of k leaf draws onto j leaves: j! S(k, j), S a Stirling number
+    of the second kind."""
+    return sum((-1) ** i * math.comb(j, i) * (j - i) ** k for i in range(j + 1))
+
+
+def test_sampled_conditions_follow_the_stated_law():
+    # P(n, mask) is proportional to the sum over leaf counts K = 1..6 of
+    # j! S(K, j) / 2^(depth K), j = |mask|, for dense (mask, n) and 0 else;
+    # the chi-square of 40,000 draws against it stays below dof + 6 sd
+    for depth in (2, 3):
+        leaves = 1 << depth
+        law = {}
+        for mask in range(1, 1 << leaves):
+            j = mask.bit_count()
+            weight = sum(onto_maps(k, j) / leaves**k for k in range(j, 7))
+            for n in range(depth + 1):
+                if weight and cantor.dense_mask(mask, depth, n):
+                    law[n, mask] = weight
+        total = sum(law.values())
+        draws = 40_000
+        seen = collections.Counter(
+            (c.n, c.B.mask) for c in itertools.islice(
+                cli._drawn_conditions(random.Random(depth), depth), draws))
+        assert set(seen) <= set(law)
+        chi2 = sum((seen[cell] - draws * w / total) ** 2 / (draws * w / total)
+                   for cell, w in law.items())
+        dof = len(law) - 1
+        assert chi2 < dof + 6 * math.sqrt(2 * dof), (depth, chi2, dof)
+
+
+def test_sampled_conditions_are_dense_and_in_range():
+    for depth in range(cli.MAX_SAMPLE_DEPTH + 1):
+        draws = cli._drawn_conditions(random.Random(29), depth)
+        for c in itertools.islice(draws, 2000):
+            assert type(c) is perfectposet.PCondition and c.depth == depth
+            assert 0 <= c.n <= depth and 1 <= c.B.mask.bit_count() <= 6
+            assert c.B.mask < 1 << (1 << depth)
+            assert cantor.dense_mask(c.B.mask, depth, c.n)
+
+
+def test_sampled_audit_fails_on_a_wrong_closed_form(capsys, monkeypatch):
+    # the closed form without its joint-mass clause: traces at the coarser
+    # level agree
+    def traces_agree(c1, c2):
+        level = min(c1.n, c2.n)
+        return (cantor.levelset_mask(c1.B.mask, c1.depth, level)
+                == cantor.levelset_mask(c2.B.mask, c2.depth, level))
+
+    monkeypatch.setattr(perfectposet, "p_compatible", traces_agree)
+    code, out = run(capsys, "pforce", "oracle-check", "--samples", "300", "--depth", "3")
+    report = json.loads(out)
+    assert code == 1 and report["samples"] == 300 and report["disagreements"] > 0
 
 
 def test_determinism_byte_identical(capsys):
@@ -753,9 +815,9 @@ def test_oversized_depths_exit_2(capsys):
         ("diag", "build", "--m", "5", "--granularity", "2", "--v", "3", "--depth", "15"),
         ("diag", "build", "--m", "3", "--granularity", "3", "--v", "3", "--depth", "15"),
         # a halving walks the subsets of Z up to half its size
-        ("cover", "halve", "--json", halving_family(cli.MAX_HIT_NODES + 1, 1)),
+        ("cover", "halve", "--json", halving_family(coverlemmas.MAX_HIT_NODES + 1, 1)),
         ("cover", "halve", "--json",
-         halving_family(cli.MAX_HIT_NODES, cli.MAX_WEIGHTED_SETS + 1)),
+         halving_family(coverlemmas.MAX_HIT_NODES, coverlemmas.MAX_WEIGHTED_SETS + 1)),
         ("cover", "shrink", "--eps", "1/2", "--m", "1", "--json",
          halving_family(32, 1)),
     ):
@@ -789,7 +851,7 @@ def test_oversized_depths_exit_2(capsys):
         (("soft", "product", "--m", "1", "--json", product_pairs(cli.MAX_PAIRS)),
          '{"cover":[],"verified":true}\n'),
         (("cover", "halve", "--json",
-          halving_family(cli.MAX_HIT_NODES, cli.MAX_WEIGHTED_SETS)),
+          halving_family(coverlemmas.MAX_HIT_NODES, coverlemmas.MAX_WEIGHTED_SETS)),
          '{"Z":["00000"],"level":5}\n'),
         (("ncov", "avoid", "--json", block_tree_instance(cli.MAX_TREE_BLOCKS)),
          f'{{"branches":{1 << cli.MAX_TREE_BLOCKS},"counterexamples":[],'

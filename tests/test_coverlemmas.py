@@ -172,6 +172,34 @@ def test_shrink_requires_large_k():
         )  # not the full level
 
 
+def capped_family(n: int, nodes: int, sets: int) -> WeightFamily:
+    """Level n, Z its first `nodes` nodes, k = 2 and `sets` unit masses: set
+    i holds Z's first two nodes and the binary digits of i above them, so
+    at k' = 1 the first node alone keeps all the mass."""
+    weights = tuple((0b11 | i << 2, Fraction(1)) for i in range(sets))
+    return WeightFamily(n, 2, LevelSet(n, (1 << nodes) - 1), weights)
+
+
+def test_halving_is_bounded_in_the_library():
+    # the search walks the subsets of Z up to its winner's size, so the
+    # sizes are refused before any candidate is tried, by shrink too
+    nodes, sets = coverlemmas.MAX_HIT_NODES, coverlemmas.MAX_WEIGHTED_SETS
+    half = Fraction(1, 2)
+    assert_value_errors([
+        (lambda: halve_once(capped_family(5, nodes + 1, 1), 1),
+         f"{nodes + 1} hit-set nodes: halving stops at {nodes}"),
+        (lambda: halve_once(capped_family(5, nodes, sets + 1), 1),
+         f"{sets + 1} weighted sets: halving stops at {sets}"),
+        (lambda: shrink(capped_family(5, 32, 1), half, 1),
+         f"32 hit-set nodes: halving stops at {nodes}"),
+        (lambda: shrink(capped_family(4, 16, sets + 1), half, 1),
+         f"{sets + 1} weighted sets: halving stops at {sets}"),
+    ])
+    # a family at each ceiling is halved
+    assert halve_once(capped_family(5, nodes, sets), 1) == LevelSet(5, 1)
+    assert shrink(capped_family(4, 16, sets), half, 1) == LevelSet(4, 1)
+
+
 def test_shrink_end_to_end_random():
     rng = random.Random(4)
     for _ in range(15):
