@@ -8,16 +8,20 @@ is integer bitwise arithmetic, all measures exact dyadic rationals.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterable
+from itertools import repeat
+from operator import or_
+from typing import Iterable, Sequence
 
 __all__ = [
     "MAX_DEPTH",
     "TABLE_DEPTH",
     "ClopenSet",
     "LevelSet",
+    "bit_tables",
     "boolean_op",
     "canonicalize",
     "check_depth",
@@ -200,6 +204,34 @@ def densities(depth: int) -> tuple:
     return tuple(tables)
 
 
+@cache
+def bit_tables(depth: int) -> tuple:
+    """(M, D), the bitwise transposes of `projections` and `densities` at a
+    depth in 0..TABLE_DEPTH, as ints over its 2^(2^depth) masks: bit u of
+    M[level][j] is set when the mask u meets node j of `level`, bit u of
+    D[level] when u is dense at `level`; 315 KB at depth 4.  A depth
+    outside 0..TABLE_DEPTH is a ValueError, raised before any int is built:
+    at depth 5 one int would have 2^32 bits.
+
+    A leaf's int is one run of ones doubled to the full size, a node's the
+    OR of its children's; D packs each density table by one `translate`.
+    """
+    if not 0 <= depth <= TABLE_DEPTH:
+        raise ValueError(f"depth {depth} outside 0..{TABLE_DEPTH}")
+    size, leaves = 1 << (1 << depth), []
+    for p in range(1 << depth):  # bit p of u is set in the upper half of each 2^(p+1) run
+        x, span = (1 << (1 << p)) - 1 << (1 << p), 2 << p
+        while span < size:
+            x |= x << span
+            span <<= 1
+        leaves.append(x)
+    M = [tuple(leaves)]
+    while len(M[0]) > 1:
+        M.insert(0, tuple(map(or_, M[0][::2], M[0][1::2])))
+    zero_one = bytes.maketrans(b"\0\1", b"01")
+    return tuple(M), tuple(int(t[::-1].translate(zero_one), 2) for t in densities(depth))
+
+
 class _Reader:
     """kernel(., depth, level) read as [mask], for depths beyond the tables."""
 
@@ -336,10 +368,10 @@ class ClopenSet:
 
     Every construction validates the depth against `check_depth`, then the
     mask by its bit length, which builds no int: a call in the one
-    `__init__` frame, a batch of ascending masks
-    (`perfectposet._clopen_sets`) once, on its first and last mask.  The
-    fields are stored through their slots; equality, hash, repr, pickling
-    and the frozen assignment errors are the dataclass's.
+    `__init__` frame, a batch of ascending masks (`_clopen_sets`) once, on
+    its first and last mask.  The fields are stored through their slots;
+    equality, hash, repr, pickling and the frozen assignment errors are the
+    dataclass's.
     """
 
     depth: int
@@ -373,6 +405,22 @@ class ClopenSet:
 # slots=True builds a new class, so its slot setters are read after decoration
 _set_depth = ClopenSet.__dict__["depth"].__set__
 _set_mask = ClopenSet.__dict__["mask"].__set__
+
+
+def _clopen_sets(depth: int, masks: Sequence[int]) -> list[ClopenSet]:
+    """[ClopenSet(depth, mask) for mask in masks], for ascending masks: the
+    checks of `ClopenSet.__init__`, in its order and with its messages, made
+    once for the batch (the depth, then the first and last mask's range),
+    then the fields stored through the slot setters with no Python step per
+    set."""
+    if masks:
+        check_depth(depth)
+        if masks[0] < 0 or masks[-1].bit_length() > 1 << depth:
+            raise ValueError("mask out of range for depth")
+    sets = list(map(object.__new__, repeat(ClopenSet, len(masks))))
+    deque(map(_set_depth, sets, repeat(depth)), 0)
+    deque(map(_set_mask, sets, masks), 0)
+    return sets
 
 
 def full_set(depth: int) -> ClopenSet:

@@ -21,7 +21,8 @@ from typing import Sequence
 from .cantor import (
     TABLE_DEPTH,
     ClopenSet,
-    check_depth,
+    _clopen_sets,
+    bit_tables,
     cyl_mask,
     densities,
     density_ok,
@@ -59,8 +60,8 @@ class PCondition:
     level 0 <= n <= B.depth.
 
     Every construction validates n and B's measure: a call in the one
-    `__init__` frame, a batch (`_conditions`, the members of a depth-4
-    `main_cover` and the elements of `enumerate_pprime(4)`) once for all its
+    `__init__` frame, a batch (`_conditions`, the members of a `main_cover`
+    beyond depth 3 and the elements of `enumerate_pprime(4)`) once for all its
     members.  Either way the fields are stored through their slots; B ran
     its own checks, whose range check builds no int.
 
@@ -93,33 +94,15 @@ class PCondition:
 # slots=True builds a new class, so its slot setters are read after decoration
 _set_B = PCondition.__dict__["B"].__set__
 _set_n = PCondition.__dict__["n"].__set__
-_set_depth = ClopenSet.__dict__["depth"].__set__
-_set_mask = ClopenSet.__dict__["mask"].__set__
-
-
-def _clopen_sets(depth: int, masks: Sequence[int]) -> list[ClopenSet]:
-    """[ClopenSet(depth, mask) for mask in masks], for ascending masks: the
-    checks of `ClopenSet.__init__`, in its order and with its messages, made
-    once for the batch (the depth, then the first and last mask's range),
-    then the fields stored through the slot setters with no Python step per
-    set."""
-    if masks:
-        check_depth(depth)
-        if masks[0] < 0 or masks[-1].bit_length() > 1 << depth:
-            raise ValueError("mask out of range for depth")
-    sets = list(map(object.__new__, repeat(ClopenSet, len(masks))))
-    deque(map(_set_depth, sets, repeat(depth)), 0)
-    deque(map(_set_mask, sets, masks), 0)
-    return sets
 
 
 def _conditions(sets: Sequence[ClopenSet], n: int) -> list[PCondition]:
     """[PCondition(B, n) for B in sets], for sets of one depth in ascending
     mask order: the checks of `PCondition.__init__`, in its order and with
     its messages, made once for the batch (n against the depth, then the
-    first set's measure), then the fields stored as `_clopen_sets` stores
-    them.  With `_clopen_sets` it builds the members of `main_cover` at depth
-    4 and the elements of `enumerate_pprime(4)`."""
+    first set's measure), then the fields stored as `cantor._clopen_sets`
+    stores them.  With `_clopen_sets` it builds the members of `main_cover`
+    beyond depth 3 and the elements of `enumerate_pprime(4)`."""
     if sets:
         if not 0 <= n <= sets[0].depth:
             raise ValueError(f"commitment level {n} out of range")
@@ -265,31 +248,37 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
 
     At depth <= TABLE_DEPTH no union is visited one at a time: each height's
     members are read off one int over all masks (`_cover_by_bits`).  Beyond,
-    where such an int would have 2^(2^depth) bits, one walk over the unions
-    at a level sorts each u into its family: the level-ell unions when
-    ell >= n, else the level-n unions (B) and then the level-ell ones (A).
-    The walk is in Gray-code order, each step XOR-ing one node's part into
-    the one live union, so no union is kept.
+    where such an int would have 2^(2^depth) bits, the unions are walked
+    (`_cover_by_walk`).  Members are shared instances at depth <= 3, beyond
+    built one batch per height.
     """
     depth = _same_depth(b, c)
     if not in_pprime(b) or not in_pprime(c):
         raise ValueError("main_cover expects dense-part conditions")
     if k > depth:
         raise DepthExhausted(f"height bound {k} exceeds depth {depth}")
-    if depth <= TABLE_DEPTH:
-        heights = _cover_by_bits(b, c, k)
-        if depth <= _SHARED_DEPTH:
-            return [_shared(depth, ell, mask) for ell, masks in heights for mask in masks]
-        # depth 4: each height's members are one batch, checked once
-        return [q for ell, masks in heights for q in _conditions(_clopen_sets(depth, masks), ell)]
-    n, m = b.n, c.n
+    heights = (_cover_by_bits if depth <= TABLE_DEPTH else _cover_by_walk)(b, c, k)
+    if depth <= _SHARED_DEPTH:
+        return [_shared(depth, ell, mask) for ell, masks in heights for mask in masks]
+    # each height's members are one batch, checked once
+    return [q for ell, masks in heights for q in _conditions(_clopen_sets(depth, masks), ell)]
+
+
+def _cover_by_walk(b: PCondition, c: PCondition, k: int) -> list[tuple[int, list[int]]]:
+    """`main_cover` beyond TABLE_DEPTH: (ell, the masks of its members,
+    ascending) per height.  One walk over the unions at a level sorts each
+    u into its family: the level-ell unions when ell >= n, else the level-n
+    unions (B) and then the level-ell ones (A).  The walk is in Gray-code
+    order, each step XOR-ing one node's part into the one live union, so no
+    union is kept.
+    """
+    depth, n, m = c.B.depth, b.n, c.n
     bmask, cmask = b.B.mask, c.B.mask
     # table reads skip the range check: every u is a submask of c's mask
     P, D = projections(depth), densities(depth)
     at_m = P[m]
     trace_b_n, trace_c_m = P[n][bmask], at_m[cmask]
-    found: set[tuple[int, int]] = set()
-
+    heights = []
     for ell in range(m, k + 1):
         s, fine = min(ell, n), max(ell, n)
         at_s, at_fine, dense = P[s], P[fine], D[ell]
@@ -298,6 +287,7 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
         has_special = at_fine[cmask & ~bmask]
         shift = depth - fine
         block = (1 << (1 << shift)) - 1
+        found: set[int] = set()
         for level in (ell,) if ell >= n else (n, ell):
             parts = _node_parts(cmask, depth, level)
             u = 0
@@ -309,7 +299,7 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
                 if at_s[u] != trace_b_s:
                     # family A: the trace at s disagrees with b's
                     if level == ell and dense[u]:
-                        found.add((ell, u))
+                        found.add(u)
                     continue
                 if level != fine:
                     continue
@@ -318,34 +308,15 @@ def main_cover(b: PCondition, c: PCondition, k: int) -> list[PCondition]:
                 committed = trace_b_n if ell < n else nodes
                 if nodes & committed != committed:
                     if dense[u]:
-                        found.add((ell, u))
+                        found.add(u)
                     continue
                 for t in positions(committed & has_special):
                     cyl = block << (t << shift)
                     cand = (u & ~cyl) | (cmask & cyl & ~bmask)
                     if dense[cand]:
-                        found.add((ell, cand))
-    return [PCondition(ClopenSet(depth, mask), ell) for ell, mask in sorted(found)]
-
-
-@cache
-def _cover_tables(depth: int) -> tuple:
-    """(M, D) at a depth <= TABLE_DEPTH, as ints over its 2^(2^depth) masks:
-    bit u of M[level][j] is set when u meets node j of `level`, bit u of
-    D[ell] when u is dense at ell; 315 KB at depth 4.  A leaf's int is one
-    run of ones doubled to the full size, a node's the OR of its children's.
-    """
-    size, M = 1 << (1 << depth), [[]]
-    for p in range(1 << depth):  # bit p of u is set in the upper half of each 2^(p+1) run
-        x, span = (1 << (1 << p)) - 1 << (1 << p), 2 << p
-        while span < size:
-            x |= x << span
-            span <<= 1
-        M[0].append(x)
-    while len(M[0]) > 1:
-        M.insert(0, list(map(or_, M[0][::2], M[0][1::2])))
-    zero_one = bytes.maketrans(b"\0\1", b"01")
-    return M, [int(t[::-1].translate(zero_one), 2) for t in densities(depth)]
+                        found.add(cand)
+        heights.append((ell, sorted(found)))
+    return heights
 
 
 def _cover_by_bits(b: PCondition, c: PCondition, k: int) -> list[tuple[int, list[int]]]:
@@ -364,7 +335,7 @@ def _cover_by_bits(b: PCondition, c: PCondition, k: int) -> list[tuple[int, list
     depth, n, m = c.B.depth, b.n, c.n
     bmask, cmask = b.B.mask, c.B.mask
     P = projections(depth)
-    M, D = _cover_tables(depth)
+    M, D = bit_tables(depth)
     # the masks up to c's that meet every level-m node of c: every int below
     # is ANDed with it, so none is longer than c's mask + 1 bits
     base = (2 << cmask) - 1
@@ -464,26 +435,12 @@ def _meets(bits: int, lo: int, hi: int) -> int:
     return mask
 
 
-@cache
-def _node_bits(depth: int) -> tuple:
-    """M[level][j]: bit e set for the masks e at this depth (<= TABLE_DEPTH)
-    that meet node j of `level`; 248 KB at depth 4."""
-    return tuple(tuple(_meets(1 << depth, j << depth - level, j + 1 << depth - level)
-                       for j in range(1 << level)) for level in range(depth + 1))
-
-
 def _packed(table: bytes) -> int:
     """Entry x of a 0/1 byte table as bit x of one int."""
     return int(table[::-1].translate(_BINARY), 2)
 
 
 _BINARY = bytes.maketrans(b"\0\1", b"01")
-
-
-@cache
-def _dense_bits(depth: int) -> tuple:
-    return tuple(map(_packed, densities(depth)))
-
 
 def _meet(masks, nodes: int, op=or_, out: int = 0) -> int:
     """out OR (or op) masks[j] for each set bit j of nodes, low bit first."""
@@ -536,8 +493,8 @@ def cover_oracle(
     P = projections(depth)
     leaves = positions(cmask)
     if depth <= TABLE_DEPTH:
-        M, steps, bits = _node_bits(depth), [1 << p for p in leaves], 1 << depth
-        dense, index = _dense_bits(depth)[m:kk + 1], int
+        (M, D), steps, bits = bit_tables(depth), [1 << p for p in leaves], 1 << depth
+        dense, index = D[m:kk + 1], int
     else:
         bits, steps = len(leaves), [1 << i for i in range(len(leaves))]
         slot = dict(zip(leaves, steps))

@@ -201,6 +201,12 @@ def verify_cover(
     return targets & ~reduce(or_, map(P.down_row, qi), 0) == 0
 
 
+MAX_COVER_SUBSETS = 1 << 20
+"""Most subsets one `find_cover` call tries: about 1 s at 0.8-1.4 us a
+subset.  A 20-candidate antichain needs 2^20 - 1, and `DeskPoset(2)` with
+one p in ps at most 263,950, every size counted whole."""
+
+
 def find_cover(P, h: HeightFn, ps: Sequence[Element], m: int) -> list[Element]:
     """Smallest weak finite cover for ps at m; lexicographic tie-break.
 
@@ -209,7 +215,9 @@ def find_cover(P, h: HeightFn, ps: Sequence[Element], m: int) -> list[Element]:
     first one dominating every height-<= m target wins.  A candidate
     dominating no target is skipped: it is in no smallest cover.  The
     search cannot fail: every target is a candidate below itself, so when
-    no smaller subset covers, the whole candidate list does.
+    no smaller subset covers, the whole candidate list does.  A size whose
+    subsets would take the count tried past MAX_COVER_SUBSETS is a
+    ValueError, raised before any of them is tried.
     """
     hs = _heights(P, h)
     rows = P.compat_rows()
@@ -217,7 +225,12 @@ def find_cover(P, h: HeightFn, ps: Sequence[Element], m: int) -> list[Element]:
     targets = _at_most(hs, m) & ~reach
     pool = _sorted_ids([e for i, e in enumerate(P.elements) if not reach >> i & 1])
     downs = [(e, d) for e in pool if (d := P.down_row(P.index[e]) & targets)]
+    tried = 0
     for size in range(len(downs)):
+        tried += math.comb(len(downs), size)
+        if tried > MAX_COVER_SUBSETS:
+            raise ValueError(f"{len(downs)} candidates: covers of size {size} would take "
+                             f"find_cover past {MAX_COVER_SUBSETS} subsets")
         for qs in itertools.combinations(downs, size):
             if targets & ~reduce(or_, (down for _, down in qs), 0) == 0:
                 return [e for e, _ in qs]

@@ -13,8 +13,10 @@ from support import assert_value_errors
 from clopenforce import cantor
 from clopenforce.cantor import (
     MAX_DEPTH,
+    TABLE_DEPTH,
     ClopenSet,
     LevelSet,
+    bit_tables,
     boolean_op,
     canonicalize,
     clopen_from_json,
@@ -244,10 +246,11 @@ def test_importing_the_cli_builds_no_depth4_table():
     code = (
         "import clopenforce.cli\n"
         "from clopenforce import cantor\n"
-        "kernel = (cantor.projections, cantor.densities)\n"
+        "kernel = (cantor.projections, cantor.densities, cantor.bit_tables)\n"
         "print([f.cache_info().currsize for f in kernel])\n"
         "cantor.levelset_mask(1, 4, 2)\n"
         "cantor.dense_mask(1, 4, 2)\n"
+        "cantor.bit_tables(4)\n"
         "misses = [f.cache_info().misses for f in kernel]\n"
         "print([f(4) is f(4) for f in kernel])\n"
         "print([f.cache_info().misses for f in kernel] == misses)\n"
@@ -257,7 +260,34 @@ def test_importing_the_cli_builds_no_depth4_table():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert done.stdout == "[0, 0]\n[True, True]\nTrue\n", done.stderr
+    assert done.stdout == "[0, 0, 0]\n[True, True, True]\nTrue\n", done.stderr
+
+
+def test_bit_tables_transpose_the_restated_kernel():
+    # over every mask u at depths 0-4: bit u of M[level][j] is set when u
+    # meets node j, bit u of D[level] when u is dense at level
+    for depth in range(TABLE_DEPTH + 1):
+        M, D = bit_tables(depth)
+        assert len(M) == len(D) == depth + 1
+        size = 1 << (1 << depth)
+        spelled = [leaves(u, depth) for u in range(size)]
+
+        def column(x):  # character u is bit u of x
+            return bin(x)[:1:-1].ljust(size, "0")
+
+        for level in range(depth + 1):
+            projected = [prefix_projection(s, level) for s in spelled]
+            assert len(M[level]) == 1 << level
+            for j, x in enumerate(M[level]):
+                assert column(x) == "".join("01"[p >> j & 1] for p in projected), (depth, level, j)
+            dense = "".join("01"[dense_by_counts(s, depth, level)] for s in spelled)
+            assert column(D[level]) == dense, (depth, level)
+    assert bit_tables(4) is bit_tables(4)
+    # checked before any int is built: at depth 5 one would have 2^32 bits
+    assert_value_errors([
+        (lambda: bit_tables(-1), f"depth -1 outside 0..{TABLE_DEPTH}"),
+        (lambda: bit_tables(5), f"depth 5 outside 0..{TABLE_DEPTH}"),
+    ])
 
 
 def test_depth_bound():

@@ -742,6 +742,15 @@ def product_pairs(count: int) -> str:
                        "second": POSET, "pairs": pairs})
 
 
+def antichain_cover_args(count: int) -> list[str]:
+    """`soft cover` over an antichain below a top whose smallest cover of
+    the last element's incompatibles is all `count` of them."""
+    names = [f"a{i:02d}" for i in range(count + 1)]
+    poset = {"elements": [*names, "top"], "leq": [], "top": "top",
+             "height": dict.fromkeys([*names, "top"], 0)}
+    return ["soft", "cover", "--json", json.dumps(poset), "--ps", names[-1], "--m", "0"]
+
+
 def block_tree_args(blocks: int) -> list[str]:
     """`ncov tree` flags for a tree of `blocks` one-bit blocks."""
     return ["--r", "0" * blocks, "--d", *map(str, range(blocks + 1)),
@@ -772,10 +781,11 @@ def halving_family(nodes: int, sets: int) -> str:
 def test_oversized_depths_exit_2(capsys):
     # a depth or level above cantor.MAX_DEPTH, a count above its ceiling, an
     # eps below its floor, a subset table over MAX_TABLE_NODES nodes, a
-    # block tree over MAX_TREE_BLOCKS blocks or a weight family over
-    # MAX_HIT_NODES or MAX_WEIGHTED_SETS is a usage error, raised before
-    # any mask of 2^depth bits or any table is built, any round run, any
-    # branch walked or any subset of Z tried
+    # block tree over MAX_TREE_BLOCKS blocks, a weight family over
+    # MAX_HIT_NODES or MAX_WEIGHTED_SETS or a cover search past
+    # soft.MAX_COVER_SUBSETS is a usage error, raised before any mask of
+    # 2^depth bits or any table is built, any round run, any branch walked
+    # or any subset of Z (or the rest of the candidates) tried
     huge = str(HUGE)
     for argv in (
         ("eps", "--k", str(cli.MAX_K + 1), "--kprime", "1"),
@@ -820,6 +830,8 @@ def test_oversized_depths_exit_2(capsys):
          halving_family(coverlemmas.MAX_HIT_NODES, coverlemmas.MAX_WEIGHTED_SETS + 1)),
         ("cover", "shrink", "--eps", "1/2", "--m", "1", "--json",
          halving_family(32, 1)),
+        # sizes 0..8 take 600,370 subsets, size 9 would pass 2^20
+        antichain_cover_args(22),
     ):
         code, out = run(capsys, *argv)
         assert code == 2 and out.startswith("usage-error:"), argv

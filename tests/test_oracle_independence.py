@@ -11,8 +11,10 @@ The receiver of any other attribute is not known statically, so an attribute
 that some package class defines as a method or property reaches that class.
 
 Chain of trust for the cover oracle: `cover_oracle` decides incompatibility
-with b from its own per-node bit tables, so it shares only the bit kernel
-with `main_cover` and with the compatibility closed form `_compat_masks`.
+with b from per-node bit tables, at depth <= 4 the kernel's packed ints
+(`cantor.bit_tables`, tested against the kernel restatements), so it shares
+only the bit kernel with `main_cover` and with the compatibility closed form
+`_compat_masks`.
 `tests/oracle_restated.py` still decides incompatibility by `_compat_masks`,
 which `compat_oracle` audits, and `cover_oracle` must equal it report for
 report.
@@ -28,6 +30,7 @@ import clopenforce
 PACKAGE = Path(clopenforce.__file__).parent
 
 BIT_KERNEL = {
+    "cantor.bit_tables",
     "cantor.check_depth",
     "cantor.cyl_mask",
     "cantor.dense_mask",
@@ -67,9 +70,7 @@ ORACLES = (
             "perfectposet._node_table",
             "perfectposet._meets",
             "perfectposet._meet",
-            "perfectposet._node_bits",
             "perfectposet._packed",
-            "perfectposet._dense_bits",
         },
     ),
     (
@@ -146,7 +147,7 @@ def reach(graph: dict[str, set[str]], start: str, stop=frozenset()) -> set[str]:
 
 
 def test_the_graph_sees_the_closed_forms_edges(graph):
-    assert "perfectposet._node_parts" in graph["perfectposet.main_cover"]
+    assert "perfectposet._node_parts" in graph["perfectposet._cover_by_walk"]
     assert "perfectposet._compat_masks" in graph["perfectposet.p_compatible"]
     assert "numerics.epsilon" in reach(graph, "coverlemmas.shrink")
     assert "soft.FinitePoset" in graph["soft.verify_cover"]  # P.compat_rows()

@@ -131,10 +131,10 @@ def test_constructor_errors_are_unchanged():
 
 
 def test_batch_builds_equal_the_constructors():
-    # main_cover's members at depth 4 and enumerate_pprime(4)'s elements are
-    # built in batches whose checks run once: each batch is the list of
+    # main_cover's members beyond depth 3 and enumerate_pprime(4)'s elements
+    # are built in batches whose checks run once: each batch is the list of
     # per-member constructions, value for value and error for error
-    sets, conditions = perfectposet._clopen_sets, perfectposet._conditions
+    sets, conditions = cantor._clopen_sets, perfectposet._conditions
 
     def batch(depth, n, masks):
         return conditions(sets(depth, masks), n)

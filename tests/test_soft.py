@@ -7,8 +7,9 @@ import pytest
 
 from support import assert_value_errors, chain_heights, greedy_max_antichain, random_poset
 
+from clopenforce import soft
 from clopenforce.cantor import ClopenSet, canonicalize, full_set
-from clopenforce.perfectposet import DeskPoset
+from clopenforce.perfectposet import DeskPoset, parse_pcondition
 from clopenforce.soft import (
     FinitePoset,
     NameTable,
@@ -118,6 +119,33 @@ def test_find_cover_can_need_every_candidate():
     Q = antichain_poset("abc")
     h = {e: 0 for e in Q.elements}
     assert find_cover(Q, h, ["c"], 0) == ["a", "b"]
+
+
+def test_find_cover_stops_at_its_subset_bound(monkeypatch):
+    # each candidate dominates only itself, so the search tries every
+    # smaller subset first: 2^6 - 1 for six candidates
+    names = [f"a{i}" for i in range(7)]
+    Q = antichain_poset(names)
+    h = dict.fromkeys(Q.elements, 0)
+    monkeypatch.setattr(soft, "MAX_COVER_SUBSETS", 63)
+    assert find_cover(Q, h, ["a6"], 0) == names[:6]
+    monkeypatch.setattr(soft, "MAX_COVER_SUBSETS", 62)
+    assert_value_errors([(lambda: find_cover(Q, h, ["a6"], 0),
+                          "6 candidates: covers of size 5 would take find_cover past 62 subsets")])
+    monkeypatch.undo()
+    # at the bound: 22 candidates stop at size 9 (sizes 0..8 take 600,370
+    # subsets), 256 dense conditions of DeskPoset(3) at size 3 (C(256, 3) is
+    # 2.8 M), where the search would walk C(256, 4) = 175 M more
+    many = [f"a{i:02d}" for i in range(23)]
+    Q = antichain_poset(many)
+    desk = DeskPoset(3)
+    p = parse_pcondition("(d=3:{000,001,010,011,111}, n=0)")
+    assert_value_errors([
+        (lambda: find_cover(Q, dict.fromkeys(Q.elements, 0), ["a22"], 0),
+         "22 candidates: covers of size 9 would take find_cover past 1048576 subsets"),
+        (lambda: find_cover(desk, desk.heights(), [p], 2),
+         "256 candidates: covers of size 3 would take find_cover past 1048576 subsets"),
+    ])
 
 
 def test_star_witness_examples():
