@@ -563,24 +563,10 @@ def _ncov_budget(args) -> int:
     return 0 if report.ok else 1
 
 
-# inclusion-exclusion over k indices of a cover reaching `depth` forms up to
-# 2^k terms, each one AND of 2^depth-bit masks, and a term costs no less
-# than at depth 16.  The terms below an empty intersection are skipped, but
-# a cover of full sets has none: then 16 indices at depth 16, 12 at depth 20
-# and 8 at depth 24 take up to 0.4, 0.5 and 1.7 s, and each index more
-# doubles that
-MAX_MEASURE_WORK = 32  # log2 of 2^k * 2^max(depth, 16)
-
-
 @_verb("ncov measure", nullcover.union_measure,
        flags=(*PAYLOAD, _flag("--indices", type=int, nargs="*", default=[])))
 def _ncov_measure(args) -> int:
     cover = _cover_from_json(_load_payload(args))
-    ms, depth = nullcover.union_scope(cover, args.indices)
-    ceiling = MAX_MEASURE_WORK - max(depth, 16)
-    if len(ms) > ceiling:
-        raise ValueError(f"{len(ms)} indices at depth {depth}: ncov measure "
-                         f"stops at {ceiling}")
     print(rational_str(nullcover.union_measure(cover, args.indices)))
     return 0
 

@@ -2,7 +2,10 @@
 
 A level cover lists (n_m, Z_m) with Z_m a set of level-n_m nodes; the
 covered null set is "hit Z_m at infinitely many m", finitized here to
-explicit index sets plus an exact tail budget.  The second half implements
+explicit index sets plus an exact tail budget.  The measure of hitting some
+chosen Z_m is the leaf count of one union of the chosen sets, lifted level
+by level to the deepest; `union_oracle` recomputes it independently, as the
+length of merged dyadic intervals.  The second half implements
 interval partitions with trap sets, sparse point selection, the four-way
 splice closure of a trap set, and the branch-versus-trap avoidance check
 for block trees.  It works on integer segments: each trap string is checked
@@ -31,7 +34,7 @@ __all__ = [
     "kn_set",
     "select_sparse",
     "union_measure",
-    "union_scope",
+    "union_oracle",
 ]
 
 
@@ -77,45 +80,43 @@ def budget(cover: LevelCover) -> BudgetReport:
     return BudgetReport(Fraction(total, 1 << top), ok)
 
 
-def union_scope(cover: LevelCover, S: Iterable[int]) -> tuple[list[int], int]:
-    """The distinct indices of S, ascending, and the level union_measure
-    works at: the deepest of their entries (0 for none).  An index off the
-    cover is a ValueError."""
+def union_measure(cover: LevelCover, S: Iterable[int]) -> Fraction:
+    """Measure of "hit Z_m for some m in S": the leaf count of the chosen
+    sets' union over 2^(deepest chosen level).
+
+    The cover's levels rise with the index, so the distinct indices are
+    taken in ascending order and the union so far is lifted to each one's
+    level before its set is ORed in.  An index off the cover is a
+    ValueError."""
     ms = sorted(set(S))
     if any(not 0 <= m < len(cover.entries) for m in ms):
         raise ValueError("index set off the cover")
-    return ms, max((cover.entries[m][0] for m in ms), default=0)
+    union = level = 0
+    for m in ms:
+        n, z = cover.entries[m]
+        union = lift_mask(union, level, n) | z.mask
+        level = n
+    return Fraction(union.bit_count(), 1 << level)
 
 
-def union_measure(cover: LevelCover, S: Iterable[int]) -> Fraction:
-    """Measure of "hit Z_m for some m in S", by inclusion-exclusion over
-    the lifted cylinder sets at the deepest participating level.
-
-    The index subsets are walked depth-first: each term is its parent's
-    intersection ANDed with one more lifted set, and the signed leaf counts
-    are summed as ints, made one `Fraction` at the end.  An empty
-    intersection empties every term below it, so its subtree is skipped;
-    a null cover's small sets make most deep terms empty."""
-    ms, depth = union_scope(cover, S)
-    if not ms:
-        return Fraction(0)
-    if len(ms) > 20:
-        raise ValueError("inclusion-exclusion restricted to <= 20 indices")
-    lifted = [
-        lift_mask(cover.entries[m][1].mask, cover.entries[m][0], depth) for m in ms
-    ]
-
-    def terms(inter: int, start: int) -> int:
-        """Signed leaf counts of inter ANDed with each nonempty set of the
-        lifted masks from start on, + for odd sizes, - for even."""
-        total = 0
-        for j in range(start, len(lifted)):
-            term = inter & lifted[j]
-            if term:
-                total += term.bit_count() - terms(term, j + 1)
-        return total
-
-    return Fraction(terms(-1, 0), 1 << depth)  # -1: every bit set
+def union_oracle(cover: LevelCover, S: Iterable[int]) -> Fraction:
+    """`union_measure` on the unit interval, by brute force: node a of a
+    chosen Z_m at level n is [a 2^-n, (a + 1) 2^-n), and the measure is the
+    total length of those intervals merged, in exact Fractions."""
+    chosen = set(S)
+    if any(not 0 <= m < len(cover.entries) for m in chosen):
+        raise ValueError("index set off the cover")
+    spans = sorted(
+        (Fraction(a, 1 << n), Fraction(a + 1, 1 << n))
+        for n, z in (cover.entries[m] for m in chosen)
+        for a in positions(z.mask)
+    )
+    total = reach = Fraction(0)
+    for lo, hi in spans:
+        if hi > reach:
+            total += hi - max(lo, reach)
+            reach = hi
+    return total
 
 
 def _segments(strings: Iterable[str], lo: int, hi: int) -> set[int]:

@@ -605,6 +605,11 @@ def enumerate_pprime(depth: int, max_n: int | None = None) -> tuple[PCondition, 
                  for q in _conditions(list(compress(sets, islice(D[n], 1, None))), n))
 
 
+MAX_DESK_DEPTH = 3
+"""Deepest `DeskPoset`: at depth 4 it would list 217,903 elements and OR
+rows of that many bits, gigabytes in all."""
+
+
 class DeskPoset(FinitePoset):
     """The dense part at one depth as a `FinitePoset` under the closed-form
     order `_leq_masks` (oracle-validated).
@@ -624,6 +629,8 @@ class DeskPoset(FinitePoset):
     """
 
     def __init__(self, depth: int) -> None:
+        if not 0 <= depth <= MAX_DESK_DEPTH:
+            raise ValueError(f"depth {depth} outside 0..{MAX_DESK_DEPTH}")
         self.depth = depth
         els = enumerate_pprime(depth)
         self._set_elements(els, top_condition(depth))

@@ -202,12 +202,15 @@ def verify_cover(
 
 
 MAX_COVER_SUBSETS = 1 << 20
-"""Most subsets one `find_cover` call tries: about 1 s at 0.8-1.4 us a
-subset.  A 20-candidate antichain needs 2^20 - 1, and `DeskPoset(2)` with
-one p in ps at most 263,950, every size counted whole."""
+"""Most subsets one `find_cover` call, or all the searches of one
+`product_cover` call, try: about 1 s at 0.8-1.4 us a subset.  A
+20-candidate antichain needs 2^20 - 1, and `DeskPoset(2)` with one p in ps
+at most 263,950, every size counted whole."""
 
 
-def find_cover(P, h: HeightFn, ps: Sequence[Element], m: int) -> list[Element]:
+def find_cover(
+    P, h: HeightFn, ps: Sequence[Element], m: int, _tried: list[int] | None = None
+) -> list[Element]:
     """Smallest weak finite cover for ps at m; lexicographic tie-break.
 
     Candidates must themselves be incompatible with every member of ps
@@ -217,7 +220,9 @@ def find_cover(P, h: HeightFn, ps: Sequence[Element], m: int) -> list[Element]:
     search cannot fail: every target is a candidate below itself, so when
     no smaller subset covers, the whole candidate list does.  A size whose
     subsets would take the count tried past MAX_COVER_SUBSETS is a
-    ValueError, raised before any of them is tried.
+    ValueError, raised before any of them is tried.  `_tried`, a one-item
+    list, carries that count from call to call where several searches
+    share the bound.
     """
     hs = _heights(P, h)
     rows = P.compat_rows()
@@ -225,10 +230,10 @@ def find_cover(P, h: HeightFn, ps: Sequence[Element], m: int) -> list[Element]:
     targets = _at_most(hs, m) & ~reach
     pool = _sorted_ids([e for i, e in enumerate(P.elements) if not reach >> i & 1])
     downs = [(e, d) for e in pool if (d := P.down_row(P.index[e]) & targets)]
-    tried = 0
+    tried = [0] if _tried is None else _tried
     for size in range(len(downs)):
-        tried += math.comb(len(downs), size)
-        if tried > MAX_COVER_SUBSETS:
+        tried[0] += math.comb(len(downs), size)
+        if tried[0] > MAX_COVER_SUBSETS:
             raise ValueError(f"{len(downs)} candidates: covers of size {size} would take "
                              f"find_cover past {MAX_COVER_SUBSETS} subsets")
         for qs in itertools.combinations(downs, size):
@@ -393,14 +398,30 @@ def product_cover(
     For each way A of blaming incompatibility on the first factor, cross a
     cover for the blamed first coordinates with one for the remaining
     second coordinates; the union over A covers the product at height m.
+    A factor's cover is searched once per OR of the listed elements'
+    compatibility rows, all that `find_cover` reads of them, and the
+    searches together try at most MAX_COVER_SUBSETS subsets.
     """
+    # the height maps are checked before any pair is read
+    _heights(Pq, gq)
+    _heights(Pp, hp)
     n = len(pairs)
+    tried = [0]
+    factors = ((Pq, gq, Pq.compat_rows(), {}), (Pp, hp, Pp.compat_rows(), {}))
+
+    def cover(side: int, ps: list[Element]) -> list[Element]:
+        P, h, rows, found = factors[side]
+        reach = reduce(or_, (rows[i] for i in _indices(P, ps)), 0)
+        if reach not in found:
+            found[reach] = find_cover(P, h, ps, m, tried)
+        return found[reach]
+
     out: set[tuple[Element, Element]] = set()
     for bits in range(1 << n):
         blamed = [pairs[i][0] for i in range(n) if bits >> i & 1]
         rest = [pairs[i][1] for i in range(n) if not bits >> i & 1]
-        qs = find_cover(Pq, gq, blamed, m)
-        ps = find_cover(Pp, hp, rest, m)
+        qs = cover(0, blamed)
+        ps = cover(1, rest)
         out.update((q, p) for q in qs for p in ps)
     return _sorted_ids(out)
 

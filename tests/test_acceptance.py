@@ -49,6 +49,7 @@ from clopenforce.nullcover import (
     kn_set,
     select_sparse,
     union_measure,
+    union_oracle,
 )
 from clopenforce.numerics import epsilon
 from clopenforce.perfectposet import (
@@ -407,9 +408,9 @@ def test_criterion_10_null_cover_suite():
             Fraction(1, 2**m) for m in range(1, len(cover.entries))
         )
 
-    # union measure: inclusion-exclusion == direct union (lifted from node
-    # strings, not by cantor.lift_mask), and a seeded Monte-Carlo estimate
-    # lands within three sigma (exact comparison)
+    # union measure == direct union (lifted from node strings, not by
+    # cantor.lift_mask) == union_oracle's merged intervals, and a seeded
+    # Monte-Carlo estimate lands within three sigma (exact comparison)
     mc_runs = 0
     while mc_runs < 5:
         cover = _random_conforming_cover(rng)
@@ -420,7 +421,7 @@ def test_criterion_10_null_cover_suite():
             n, z = cover.entries[m]
             direct |= lift_by_strings(z.mask, n, depth)
         p = union_measure(cover, S)
-        assert p == Fraction(direct.bit_count(), 1 << depth)
+        assert p == Fraction(direct.bit_count(), 1 << depth) == union_oracle(cover, S)
         if p in (0, 1):
             continue
         samples = 20_000

@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from clopenforce import cantor, cli, coverlemmas, nullcover, perfectposet
+from clopenforce import cantor, cli, coverlemmas, perfectposet
 from clopenforce.cli import VERB_TABLE, dispatch
 from clopenforce.errors import ConstructionError
 from clopenforce.perfectposet import MAX_TABLE_NODES
@@ -313,35 +313,25 @@ def test_ncov_sparse_and_measure(capsys):
     assert code == 0 and out == "1/2\n"
 
 
-def measure_args(count: int, depth: int) -> list[str]:
+def measure_args(count: int, depth: int, bit: str = "0") -> list[str]:
     """`ncov measure` flags for the last `count` entries of a cover with
-    one entry per level 0..depth, each the all-zero node of its level."""
-    cover = [{"n": n, "Z": ["0" * n] if n else []} for n in range(depth + 1)]
+    one entry per level 0..depth, each the node `bit * n` of its level n."""
+    cover = [{"n": n, "Z": [bit * n] if n else []} for n in range(depth + 1)]
     return ["--indices", *map(str, range(depth + 1 - count, depth + 1)),
             "--json", json.dumps(cover)]
 
 
-def test_ncov_measure_stops_at_its_ceiling(capsys, monkeypatch):
-    # 2^k terms of up to k ANDs of 2^depth-bit masks: 12 indices at depth
-    # 20 are answered, more are refused before any term is formed
+def test_ncov_measure_answers_every_index_of_a_depth_24_cover(capsys):
     assert run(capsys, "ncov", "measure", *measure_args(12, 20)) == (0, "1/512\n")
-    # off-cover indices keep union_measure's message, whatever their count
     argv = ("ncov", "measure", "--indices", *map(str, range(22)),
             *measure_args(20, 20)[-2:])  # entries 0..20
     assert run(capsys, *argv) == (2, "usage-error: index set off the cover\n")
-
-    def refuse(*args):
-        raise AssertionError("union_measure ran past the ceiling")
-
-    monkeypatch.setattr(nullcover, "union_measure", refuse)
-    for count, depth, ceiling in ((13, 20, 12), (17, 16, 16), (9, 24, 8)):
-        assert run(capsys, "ncov", "measure", *measure_args(count, depth)) == (
-            2, f"usage-error: {count} indices at depth {depth}: ncov measure "
-               f"stops at {ceiling}\n")
-    # 20 indices at depth 24 would run for hours
+    # all 25 entries at depth 24, the nodes 1, 11, 111, ...: the union is
+    # lifted through every level, to a mask of 2^24 bits
     start = time.perf_counter()
-    proc = python_m(["ncov", "measure", *measure_args(20, 24)])
-    assert proc.returncode == 2 and time.perf_counter() - start < 10, proc.stderr
+    proc = python_m(["ncov", "measure", *measure_args(25, 24, "1")])
+    assert (proc.returncode, proc.stdout) == (0, b"1/2\n"), proc.stderr
+    assert time.perf_counter() - start < 10
 
 
 def test_trap_errors_do_not_depend_on_the_hash_seed():
@@ -740,6 +730,22 @@ def product_pairs(count: int) -> str:
     pairs = [[names[i % 3], names[i // 3 % 3]] for i in range(count)]
     return json.dumps({"first": dict(POSET, supp={"a": 0, "b": 0, "top": 0}),
                        "second": POSET, "pairs": pairs})
+
+
+def test_soft_product_searches_share_one_bound():
+    # a 21-element antichain and one pair at the pair ceiling: the blame
+    # sets that hold the pair share one search, refused at the subset bound
+    names = [f"a{i:02d}" for i in range(21)]
+    first = {"elements": [*names, "top"], "leq": [], "top": "top",
+             "height": dict.fromkeys([*names, "top"], 0)}
+    payload = json.dumps({"first": first, "second": POSET,
+                          "pairs": [["a20", "a"]] * cli.MAX_PAIRS})
+    start = time.perf_counter()
+    proc = python_m(["soft", "product", "--json", payload])
+    assert (proc.returncode, proc.stdout) == (
+        2, b"usage-error: 20 candidates: covers of size 18 would take find_cover "
+           b"past 1048576 subsets\n"), proc.stderr
+    assert time.perf_counter() - start < 10
 
 
 def antichain_cover_args(count: int) -> list[str]:

@@ -28,7 +28,7 @@ from clopenforce.nullcover import (
     kn_set,
     select_sparse,
     union_measure,
-    union_scope,
+    union_oracle,
 )
 
 
@@ -64,12 +64,13 @@ def test_union_measure_basics():
     assert union_measure(cover, []) == 0
     assert union_measure(cover, [1]) == Fraction(2, 4)
     assert union_measure(cover, [0, 1]) == Fraction(2, 4)  # index 0 is empty
-    # distinct indices ascending, at the deepest of their levels
-    assert union_scope(cover, [2, 0, 2]) == ([0, 2], 4)
-    assert union_scope(cover, []) == ([], 0)
+    # repeated and unordered indices count once
+    assert union_measure(cover, [2, 0, 2]) == Fraction(4, 16)
+    assert union_measure(cover, [2, 1, 2, 0]) == Fraction(8, 16)
     for bad in ([3], [-1, 1]):
-        with pytest.raises(ValueError, match="index set off the cover"):
-            union_measure(cover, bad)
+        for measure in (union_measure, union_oracle):
+            with pytest.raises(ValueError, match="index set off the cover"):
+                measure(cover, bad)
 
 
 def test_union_measure_absorption():
@@ -100,6 +101,7 @@ def test_union_measure_matches_direct_union():
             direct |= lift_mask(entries[m][1].mask, entries[m][0], depth)
         expected = Fraction(bin(direct).count("1"), 1 << depth)
         assert union_measure(cover, S) == expected
+        assert union_oracle(cover, S) == expected
         # union bound and monotonicity
         assert union_measure(cover, S) <= sum(
             (
@@ -127,8 +129,7 @@ def sparse_cover(rng, count, depth, nodes_max):
 
 
 def test_union_measure_matches_direct_union_on_sparse_covers():
-    # 8 to 16 indices up to depth 16, where an empty intersection prunes
-    # the subtree of terms below it
+    # 8 to 16 indices up to depth 16, most of their sets small and disjoint
     rng = random.Random(2828)
     for _ in range(60):
         count = rng.randint(8, 16)
@@ -141,6 +142,7 @@ def test_union_measure_matches_direct_union_on_sparse_covers():
             n, z = cover.entries[m]
             direct |= lift_mask(z.mask, n, top)
         assert union_measure(cover, S) == Fraction(direct.bit_count(), 1 << top)
+        assert union_oracle(cover, S) == union_measure(cover, S)
         # budget's integer sum against one Fraction per entry
         assert budget(cover).total == sum(
             (Fraction(len(z), 1 << n) for n, z in cover.entries), Fraction(0))
@@ -156,11 +158,9 @@ def test_summability_matches_a_fraction_per_interval():
 
 
 def test_sparse_union_measure_runs_in_time():
-    # 16 indices at depth 16, each set 5 % of its level: forming all 2^16
-    # terms from the full masks took 0.6 s on a 2-core VM; the walk stops
-    # below the first empty intersection.  Then 20 one-node sets with
-    # disjoint cylinders ("1", "01", "001", ...): every pair is empty, so
-    # 210 ANDs stand for the 2^20 terms
+    # 16 indices at depth 16, each set 5 % of its level, then 20 one-node
+    # sets with disjoint cylinders ("1", "01", "001", ...): the union is
+    # lifted once per index, and no lift is wider than 2^depth bits
     code = (
         "import random, time\n"
         "from clopenforce.cantor import LevelSet\n"
@@ -276,16 +276,38 @@ def test_block_tree_splits_at_every_boundary():
         assert len(prefixes) * 2 >= len(deeper)
 
 
+def test_union_oracle_matches_on_depth_24_covers():
+    # one entry per level 0..24, each of a few nodes: the union is lifted
+    # through every level up to 2^24 bits
+    rng = random.Random(2424)
+    shapes = [
+        lambda n: ["1" * n],
+        lambda n: ["0" * n],
+        lambda n: ["0" * (n - 1) + "1"],
+        lambda n: ["".join(rng.choice("01") for _ in range(n)) for _ in range(3)],
+    ]
+    for nodes in shapes:
+        cover = LevelCover(tuple(
+            (n, LevelSet.from_nodes(n, nodes(n) if n else [])) for n in range(25)))
+        for S in (range(25), [17, 3, 17]):
+            assert union_measure(cover, S) == union_oracle(cover, S)
+    assert union_measure(cover, []) == union_oracle(cover, []) == 0
+
+
 def test_null_cover_inputs_fail_by_name():
-    deep = LevelCover(tuple((n, LevelSet(n, 0)) for n in range(22)))
+    # union_measure takes any number of indices: 21 of them against the
+    # direct union of node n at each level n
+    deep = LevelCover(tuple((n, LevelSet(n, 1 << n if n else 0)) for n in range(22)))
+    direct = 0
+    for n, z in deep.entries[1:]:
+        direct |= lift_mask(z.mask, n, 21)
+    assert union_measure(deep, range(1, 22)) == Fraction(direct.bit_count(), 1 << 21)
     tree = BlockTree("0000", (0, 2, 4), 4)
     whole = part([(0, 4)])
     halves = part([(0, 2), (2, 4)], [{"00"}, set()])
     assert_value_errors([
         (lambda: LevelCover(((0, LevelSet(0, 0)), (2, LevelSet(1, 0)))),
          "set at index 2 lives at the wrong level"),
-        (lambda: union_measure(deep, range(1, 22)),
-         "inclusion-exclusion restricted to <= 20 indices"),
         (lambda: select_sparse([3, -1], [whole]), "points must be nonnegative"),
         (lambda: BlockTree("0000", (0, 2, 2, 4), 4), "boundaries must increase strictly"),
         (lambda: avoidance_check(tree, whole, [], [2]),

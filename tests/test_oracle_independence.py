@@ -42,6 +42,7 @@ BIT_KERNEL = {
 VALUES = {
     "cantor.ClopenSet",
     "cantor.LevelSet",
+    "nullcover.LevelCover",
     "perfectposet.OracleReport",
     "perfectposet.PCondition",
 }
@@ -83,6 +84,7 @@ ORACLES = (
         },
         set(),
     ),
+    ("nullcover.union_oracle", {"nullcover.union_measure"}, set()),
 )
 
 
@@ -150,6 +152,7 @@ def test_the_graph_sees_the_closed_forms_edges(graph):
     assert "perfectposet._node_parts" in graph["perfectposet._cover_by_walk"]
     assert "perfectposet._compat_masks" in graph["perfectposet.p_compatible"]
     assert "numerics.epsilon" in reach(graph, "coverlemmas.shrink")
+    assert "cantor.lift_mask" in graph["nullcover.union_measure"]
     assert "soft.FinitePoset" in graph["soft.verify_cover"]  # P.compat_rows()
     for oracle, audited, allowed in ORACLES:
         assert {oracle} | audited | allowed | TRUSTED <= graph.keys()

@@ -416,15 +416,23 @@ def test_enumerate_pprime_checks_max_n():
     assert enumerate_pprime(3, 3) == enumerate_pprime(3) and len(enumerate_pprime(0, 0)) == 1
 
 
-def test_enumerate_pprime_and_desk_poset_check_depth():
+def test_enumerate_pprime_and_desk_poset_check_depth(monkeypatch):
     # beyond the byte tables enumerate_pprime would list 2^(2^depth) - 1
     # masks: all 2^32 - 1 at depth 5.  Checked before anything is built.
     assert_value_errors([
         (lambda: enumerate_pprime(-1), f"depth -1 outside 0..{TABLE_DEPTH}"),
         (lambda: enumerate_pprime(TABLE_DEPTH + 1), f"depth 5 outside 0..{TABLE_DEPTH}"),
         (lambda: enumerate_pprime(MAX_DEPTH, 0), f"depth {MAX_DEPTH} outside 0..{TABLE_DEPTH}"),
-        (lambda: DeskPoset(-1), f"depth -1 outside 0..{TABLE_DEPTH}"),
-        (lambda: DeskPoset(TABLE_DEPTH + 1), f"depth 5 outside 0..{TABLE_DEPTH}"),
+    ])
+    # DeskPoset(4) would OR rows of 217,903 bits: refused before a single
+    # element is listed
+    def refuse(*args):
+        raise AssertionError("DeskPoset listed its elements")
+
+    monkeypatch.setattr(perfectposet, "enumerate_pprime", refuse)
+    assert_value_errors([
+        (lambda depth=depth: DeskPoset(depth), f"depth {depth} outside 0..3")
+        for depth in (-1, 4, TABLE_DEPTH + 1, MAX_DEPTH)
     ])
 
 

@@ -1,10 +1,13 @@
 import ast
+import itertools
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
+import soft_restated as ref
 from support import assert_value_errors, chain_heights, greedy_max_antichain, random_poset
 
 from clopenforce import soft
@@ -305,6 +308,54 @@ def test_product_cover_verifies_in_product():
         poset, heights = product_poset(Q, gq, supp, P, hp)
         assert check_height(poset, heights)
         assert verify_cover(poset, heights, pairs, m, cover)
+
+
+def test_product_cover_is_one_search_pair_per_blame_set():
+    # repeated and dominated pairs make blame sets with equal row ORs, which
+    # share one search
+    rng = random.Random(73)
+    for _ in range(60):
+        Q = random_poset(rng, 4)
+        P = random_poset(rng, 4)
+        gq = chain_heights(Q, rng)
+        hp = chain_heights(P, rng)
+        supp = {e: min(gq[e], chain_heights(Q)[e]) for e in Q.elements}
+        pairs = [(rng.choice(Q.elements), rng.choice(P.elements))] * rng.randint(1, 2)
+        pairs += [(rng.choice(Q.elements), rng.choice(P.elements))
+                  for _ in range(rng.randint(0, 3))]
+        m = rng.randint(0, 3)
+        expected = set()
+        for bits in range(1 << len(pairs)):
+            blamed = [q for i, (q, _) in enumerate(pairs) if bits >> i & 1]
+            rest = [p for i, (_, p) in enumerate(pairs) if not bits >> i & 1]
+            expected.update(itertools.product(ref.find_cover(Q, gq, blamed, m),
+                                              ref.find_cover(P, hp, rest, m)))
+        assert product_cover(Q, gq, supp, P, hp, pairs, m) == soft._sorted_ids(expected)
+
+
+def test_product_cover_searches_share_one_subset_bound(monkeypatch):
+    # (a6, x) listed three times: the seven blame sets that hold it share
+    # one search of 2^6 - 1 subsets; with the searches of the empty blame
+    # set (9), of x (1) and of nothing (4) that is 77 in all
+    Q = antichain_poset([f"a{i}" for i in range(7)])
+    P = antichain_poset("xy")
+    hq, hp = dict.fromkeys(Q.elements, 0), dict.fromkeys(P.elements, 0)
+    pairs = [("a6", "x")] * 3
+    monkeypatch.setattr(soft, "MAX_COVER_SUBSETS", 77)
+    assert len(product_cover(Q, hq, hq, P, hp, pairs, 0)) == 6 * 2 + 1
+    monkeypatch.setattr(soft, "MAX_COVER_SUBSETS", 76)
+    assert_value_errors([(lambda: product_cover(Q, hq, hq, P, hp, pairs, 0),
+                          "3 candidates: covers of size 1 would take find_cover past 76 subsets")])
+    monkeypatch.undo()
+    # at the bound: a 21-element antichain, (a20, x) listed three times,
+    # took 2^20 - 1 subsets per blame set, about 1 s each
+    Q = antichain_poset([f"a{i:02d}" for i in range(21)])
+    hq = dict.fromkeys(Q.elements, 0)
+    start = time.perf_counter()
+    assert_value_errors([(lambda: product_cover(Q, hq, hq, P, hp, [("a20", "x")] * 3, 0),
+                          "20 candidates: covers of size 18 would take find_cover past "
+                          "1048576 subsets")])
+    assert time.perf_counter() - start < 5
 
 
 def test_strong_cover_implies_weak():
